@@ -286,6 +286,41 @@ func BenchmarkChameleonObserve(b *testing.B) {
 	}
 }
 
+// BenchmarkObserve measures one online Observe (batch 10) per method on a
+// single worker, after one warm-up pass over the stream fills the buffers
+// and gives LwF its teacher — the per-method view of the training step.
+func BenchmarkObserve(b *testing.B) {
+	set := testenv.Env(b, "core50")
+	sc := benchScale()
+	st := set.Stream(1, data.StreamOptions{BatchSize: 10})
+	var batches []cl.LatentBatch
+	for {
+		bt, ok := st.Next()
+		if !ok {
+			break
+		}
+		batches = append(batches, bt)
+	}
+	parallel.SetWorkers(1)
+	defer parallel.SetWorkers(0)
+	for _, method := range []string{"der", "lwf", "ewcpp", "gss", "er"} {
+		b.Run(method, func(b *testing.B) {
+			l, err := exp.NewLearner(exp.MethodSpec{Name: method, Buffer: 40, ST: sc.ChameleonST}, set, sc, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, bt := range batches {
+				l.Observe(bt)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l.Observe(batches[i%len(batches)])
+			}
+		})
+	}
+}
+
 // BenchmarkSLDAInversion measures the O(d³) kernel Table II punishes.
 func BenchmarkSLDAInversion(b *testing.B) {
 	set := testenv.Env(b, "core50")

@@ -4,17 +4,11 @@
 //
 //   - train_step: one TrainCEOn SGD step over a replay-sized batch
 //     (ns/op, B/op, allocs/op — allocs must be 0 after warm-up),
-//   - train_batched: the batch-first training path against the per-sample
-//     reference path at B=32 — one GEMM per Dense over the whole batch
-//     versus N GEMV round-trips. With -check the batched arm must hold a
-//     ≥1.5× lead and stay at 0 allocs/op,
-//   - precision: the kernel-tier comparison — the fp32 fused train step
-//     against the split-update fp32 step and the float64 reference tier,
-//     plus raw MatMul/MatVec ns/op at both precisions. With -check the
-//     ratios become regression gates: the fused step must not regress
-//     against split (≤1.05×), the fp32 tier must hold a ≥1.5× lead over
-//     the fp64 reference, and the fused step must stay 0 allocs/op. Gates
-//     are within-run ratios, not absolute ns/op, so they hold on any
+//   - precision: the kernel-tier comparison — the fp32 batched train step
+//     against the float64 reference tier, plus raw MatMul/MatVec ns/op at
+//     both precisions. With -check the fp32 tier must hold a ≥1.5× lead
+//     over the fp64 reference and the fp32 step must stay 0 allocs/op. The
+//     gate is a within-run ratio, not absolute ns/op, so it holds on any
 //     machine,
 //   - eval_batch: one cl.Evaluate pass over the full test pool,
 //   - serial vs batched full-pool classification and their speedup
@@ -135,18 +129,17 @@ type report struct {
 	BatchSize     int   `json:"batch_size"`
 	// Quick marks a gate-only run (-quick): the serve and checkpoint
 	// sections are skipped and zeroed.
-	Quick            bool               `json:"quick"`
-	TrainStep        metric             `json:"train_step"`
-	TrainBatched     trainBatchedReport `json:"train_batched"`
-	Precision        precisionReport    `json:"precision"`
-	EvalBatch        metric             `json:"eval_batch"`
-	SerialEval       metric             `json:"serial_eval"`
-	PooledSerialEval metric             `json:"pooled_serial_eval"`
-	BatchedEval      metric             `json:"batched_eval"`
-	EvalSpeedup      float64            `json:"eval_speedup"`
-	PooledSpeedup    float64            `json:"pooled_speedup"`
-	PredictionsMatch bool               `json:"predictions_match"`
-	AccuracyPct      float64            `json:"accuracy_pct"`
+	Quick            bool            `json:"quick"`
+	TrainStep        metric          `json:"train_step"`
+	Precision        precisionReport `json:"precision"`
+	EvalBatch        metric          `json:"eval_batch"`
+	SerialEval       metric          `json:"serial_eval"`
+	PooledSerialEval metric          `json:"pooled_serial_eval"`
+	BatchedEval      metric          `json:"batched_eval"`
+	EvalSpeedup      float64         `json:"eval_speedup"`
+	PooledSpeedup    float64         `json:"pooled_speedup"`
+	PredictionsMatch bool            `json:"predictions_match"`
+	AccuracyPct      float64         `json:"accuracy_pct"`
 	// Checkpoint durability cost of a mid-stream Chameleon snapshot, averaged
 	// over checkpointRounds save/load round-trips; the numbers come from the
 	// checkpoint package's own save/restore instrumentation, so this also
@@ -177,12 +170,11 @@ type report struct {
 }
 
 // precisionReport is the kernel-tier section: one replay-sized train step
-// through the fp32 fused path, the fp32 split path and the fp64 reference
-// tier, plus raw GEMM/GEMV kernels at both precisions. The ratios are the
-// regression gates (see -check).
+// through the fp32 fast tier (the batched fused step every learner trains
+// with) and the fp64 reference tier, plus raw GEMM/GEMV kernels at both
+// precisions. The step ratio is a regression gate (see -check).
 type precisionReport struct {
 	TrainStepFP32Fused metric `json:"train_step_fp32_fused"`
-	TrainStepFP32Split metric `json:"train_step_fp32_split"`
 	TrainStepFP64Ref   metric `json:"train_step_fp64_ref"`
 	MatMulFP32         metric `json:"matmul_fp32"`
 	MatMulFP64         metric `json:"matmul_fp64"`
@@ -191,51 +183,14 @@ type precisionReport struct {
 	// FP64OverFP32Fused is ref-tier ns / fast-tier ns for the train step
 	// (gate: ≥ 1.5 — the fast tier must actually be fast).
 	FP64OverFP32Fused float64 `json:"fp64_over_fp32_fused"`
-	// FusedOverSplit is fused ns / split ns (gate: ≤ 1.05 — fusing must not
-	// regress the step).
-	FusedOverSplit float64 `json:"fused_over_split"`
 }
 
 // precisionRounds is how many interleaved testing.Benchmark rounds feed each
 // gated precision measurement (the per-arm minimum is reported).
 const precisionRounds = 5
 
-// trainBatchedReport is the batch-first training section: one TrainCEOn step
-// over a replay-batch-sized sample set through the batched path (pack → one
-// GEMM per Dense → row-wise CE → batched fused backward) and through the
-// per-sample reference loop. Both heads start from the same seed and train on
-// the same batch, so the arms differ only in kernel dispatch.
-type trainBatchedReport struct {
-	// BatchSize is B for this section (32 — the gate's operating point, wider
-	// than the online replay batch so the GEMM has real work to amortise).
-	BatchSize int    `json:"batch_size"`
-	Batched   metric `json:"batched"`
-	PerSample metric `json:"per_sample"`
-	// Speedup is per-sample ns / batched ns (gate: ≥ 1.5 at B=32).
-	Speedup float64 `json:"speedup"`
-}
-
-// trainBatchedB is the batch size the train_batched gate is measured at.
-const trainBatchedB = 32
-
-// benchTrainBatched measures the batch-first section.
-func benchTrainBatched(model *mobilenet.Model, train []cl.LatentSample, seed int64) trainBatchedReport {
-	headCfg := cl.HeadConfig{LR: 0.1, Momentum: 0.5, Seed: seed}
-	batchedHead := cl.NewHead(model, headCfg)
-	perSampleHead := cl.NewHead(model, headCfg)
-	batchedHead.BatchTrain, perSampleHead.BatchTrain = true, false
-	stepBatch := train[:trainBatchedB]
-	arms := measureInterleaved(precisionRounds,
-		func() { batchedHead.TrainCEOn(stepBatch) },
-		func() { perSampleHead.TrainCEOn(stepBatch) },
-	)
-	rep := trainBatchedReport{BatchSize: trainBatchedB, Batched: arms[0], PerSample: arms[1]}
-	rep.Speedup = float64(rep.PerSample.NsPerOp) / float64(rep.Batched.NsPerOp)
-	return rep
-}
-
-// benchPrecision measures the kernel-tier section. Every path trains a
-// freshly initialised head over the same batch, so the three train-step
+// benchPrecision measures the kernel-tier section. Both tiers train a
+// freshly initialised head over the same batch, so the two train-step
 // numbers differ only in kernel tier, not in work.
 func benchPrecision(model *mobilenet.Model, stepBatch []cl.LatentSample, seed int64) precisionReport {
 	var p precisionReport
@@ -245,8 +200,6 @@ func benchPrecision(model *mobilenet.Model, stepBatch []cl.LatentSample, seed in
 	// real runs pay for.
 	headCfg := cl.HeadConfig{LR: 0.1, Momentum: 0.5, Seed: seed}
 	fusedHead := cl.NewHead(model, headCfg)
-	splitHead := cl.NewHead(model, headCfg)
-	splitHead.Opt.Fused = false
 	ref, err := cl.NewRef64(cl.NewHead(model, headCfg))
 	if err != nil {
 		log.Fatalf("precision bench: widen head: %v", err)
@@ -254,10 +207,9 @@ func benchPrecision(model *mobilenet.Model, stepBatch []cl.LatentSample, seed in
 	refBatch := cl.LatentBatch{Samples: stepBatch}
 	steps := measureInterleaved(precisionRounds,
 		func() { fusedHead.TrainCEOn(stepBatch) },
-		func() { splitHead.TrainCEOn(stepBatch) },
 		func() { ref.Observe(refBatch) },
 	)
-	p.TrainStepFP32Fused, p.TrainStepFP32Split, p.TrainStepFP64Ref = steps[0], steps[1], steps[2]
+	p.TrainStepFP32Fused, p.TrainStepFP64Ref = steps[0], steps[1]
 
 	// Raw kernels, sized like the head's fc1 GEMM (latent width × hidden).
 	const m, k, n = 64, 256, 128
@@ -275,7 +227,6 @@ func benchPrecision(model *mobilenet.Model, stepBatch []cl.LatentSample, seed in
 	p.MatMulFP32, p.MatMulFP64, p.MatVecFP32, p.MatVecFP64 = kernels[0], kernels[1], kernels[2], kernels[3]
 
 	p.FP64OverFP32Fused = float64(p.TrainStepFP64Ref.NsPerOp) / float64(p.TrainStepFP32Fused.NsPerOp)
-	p.FusedOverSplit = float64(p.TrainStepFP32Fused.NsPerOp) / float64(p.TrainStepFP32Split.NsPerOp)
 	return p
 }
 
@@ -292,18 +243,8 @@ func checkGates(rep *report) []string {
 	if rep.Precision.FP64OverFP32Fused < 1.5 {
 		fails = append(fails, fmt.Sprintf("fp64/fp32-fused train-step ratio = %.2f, want >= 1.5 (fast tier lost its lead)", rep.Precision.FP64OverFP32Fused))
 	}
-	if rep.Precision.FusedOverSplit > 1.05 {
-		fails = append(fails, fmt.Sprintf("fused/split train-step ratio = %.2f, want <= 1.05 (fused kernel regressed)", rep.Precision.FusedOverSplit))
-	}
 	if !rep.PredictionsMatch {
 		fails = append(fails, "serial, pooled and batched eval predictions diverge")
-	}
-	if rep.TrainBatched.Batched.AllocsPerOp != 0 {
-		fails = append(fails, fmt.Sprintf("batched train step allocs/op = %d, want 0", rep.TrainBatched.Batched.AllocsPerOp))
-	}
-	if rep.TrainBatched.Speedup < 1.5 {
-		fails = append(fails, fmt.Sprintf("batched/per-sample train-step speedup = %.2f at B=%d, want >= 1.5 (batch-first path lost its lead)",
-			rep.TrainBatched.Speedup, rep.TrainBatched.BatchSize))
 	}
 	// Replication gates (full runs only): the rolling restart must lose no
 	// requests, and the survivor must pass (snapshot, log) bit-identity.
@@ -833,7 +774,6 @@ func main() {
 			break
 		}
 	}
-	rep.TrainBatched = benchTrainBatched(model, train, *seed)
 	rep.Precision = benchPrecision(model, stepBatch, *seed)
 	rep.Quick = *quick
 	if !*quick {
@@ -867,14 +807,9 @@ func main() {
 	fmt.Printf("serial Predict loop: %d ns/op, %d allocs/op\n", rep.SerialEval.NsPerOp, rep.SerialEval.AllocsPerOp)
 	fmt.Printf("eval speedup (batched vs serial Predict loop): %.2fx (vs pooled serial: %.2fx), predictions match: %v\n",
 		rep.EvalSpeedup, rep.PooledSpeedup, rep.PredictionsMatch)
-	fmt.Printf("train_batched (B=%d): batched %d ns/op (%d allocs), per-sample %d ns/op, speedup %.2fx (gate >= 1.5)\n",
-		rep.TrainBatched.BatchSize, rep.TrainBatched.Batched.NsPerOp, rep.TrainBatched.Batched.AllocsPerOp,
-		rep.TrainBatched.PerSample.NsPerOp, rep.TrainBatched.Speedup)
-	fmt.Printf("precision: fused %d ns/op (%d allocs), split %d ns/op, fp64 ref %d ns/op\n",
+	fmt.Printf("precision: fp32 %d ns/op (%d allocs), fp64 ref %d ns/op, fp64/fp32 %.2fx (gate >= 1.5)\n",
 		rep.Precision.TrainStepFP32Fused.NsPerOp, rep.Precision.TrainStepFP32Fused.AllocsPerOp,
-		rep.Precision.TrainStepFP32Split.NsPerOp, rep.Precision.TrainStepFP64Ref.NsPerOp)
-	fmt.Printf("precision ratios: fp64/fp32-fused %.2fx (gate >= 1.5), fused/split %.2fx (gate <= 1.05)\n",
-		rep.Precision.FP64OverFP32Fused, rep.Precision.FusedOverSplit)
+		rep.Precision.TrainStepFP64Ref.NsPerOp, rep.Precision.FP64OverFP32Fused)
 	if !*quick {
 		fmt.Printf("checkpoint: save %.2f ms, restore %.2f ms, frame %.0f KB (%d round-trips)\n",
 			rep.CheckpointSaveMs, rep.CheckpointRestoreMs, rep.CheckpointFrameKB, rep.CheckpointSaves)

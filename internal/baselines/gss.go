@@ -68,7 +68,7 @@ func (g *GSS) PredictBatch(zs []*tensor.Tensor, out []int) { g.head.PredictBatch
 // respect to the head's final parameter block for one sample.
 func (g *GSS) gradSketch(s cl.LatentSample) *tensor.Tensor {
 	g.head.ZeroGrad()
-	g.head.AccumulateCE(s.Z, s.Label, 1)
+	g.head.Accumulate([]cl.LatentSample{s}, cl.Loss{})
 	params := g.head.Params()
 	// Use the last weight matrix (largest, most informative block).
 	var last *nn.Param

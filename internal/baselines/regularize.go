@@ -54,9 +54,7 @@ func (e *EWCPP) Observe(b cl.LatentBatch) {
 	e.lastDomain, e.seen = b.Domain, true
 
 	e.head.ZeroGrad()
-	for _, s := range b.Samples {
-		e.head.AccumulateCE(s.Z, s.Label, 1)
-	}
+	e.head.Accumulate(b.Samples, cl.Loss{})
 	params := e.head.Params()
 	n := float32(len(b.Samples))
 	for i, p := range params {
@@ -86,6 +84,7 @@ type LwF struct {
 	hasTeacher bool
 	lastDomain int
 	seen       bool
+	rowBuf     []cl.LossRow // reusable per-row objective
 }
 
 // NewLwF creates the LwF learner.
@@ -113,24 +112,22 @@ func (l *LwF) Observe(b cl.LatentBatch) {
 	}
 	l.lastDomain, l.seen = b.Domain, true
 
-	// Teacher logits must be computed with the snapshot weights: swap in,
-	// evaluate, swap back.
-	var teacherLogits []*tensor.Tensor
+	// Each row trains on its hard label plus, once a teacher exists, the
+	// teacher's softened response (Hinton's T²·λ scaling) — one packed step
+	// averaged over the batch. Teacher logits must be computed with the
+	// snapshot weights: swap in, evaluate, swap back.
+	var loss cl.Loss
 	if l.hasTeacher {
 		current := l.head.Snapshot()
 		l.head.Restore(l.teacher)
-		teacherLogits = make([]*tensor.Tensor, len(b.Samples))
-		for i, s := range b.Samples {
-			teacherLogits[i] = l.head.Logits(s.Z).Clone()
+		t := l.cfg.Temperature
+		rows := l.rowBuf[:0]
+		for _, s := range b.Samples {
+			rows = append(rows, cl.LossRow{CE: 1, Aux: l.cfg.Lambda * t * t, Target: l.head.Logits(s.Z).Clone()})
 		}
 		l.head.Restore(current)
+		l.rowBuf = rows
+		loss = cl.Loss{Rows: rows, Temperature: t}
 	}
-	l.head.ZeroGrad()
-	for i, s := range b.Samples {
-		l.head.AccumulateCE(s.Z, s.Label, 1)
-		if teacherLogits != nil {
-			l.head.AccumulateSoft(s.Z, teacherLogits[i], l.cfg.Temperature, l.cfg.Lambda)
-		}
-	}
-	l.head.Step(float64(len(b.Samples)))
+	l.head.Train(b.Samples, loss)
 }

@@ -83,8 +83,11 @@ type DER struct {
 	buf  *replay.Reservoir
 	src  *checkpoint.Source
 	met  observeTimer
-	// drawBuf is the reusable buffer-draw scratch for both replay terms.
-	drawBuf []replay.Item
+	// drawBuf holds both replay draws back to back; trainBuf and rowBuf are
+	// the reusable packed step and its per-row objective.
+	drawBuf  []replay.Item
+	trainBuf []cl.LatentSample
+	rowBuf   []cl.LossRow
 	// Alpha weighs the MSE logit term; Beta the replay CE term (DER++).
 	Alpha, Beta float64
 }
@@ -120,23 +123,26 @@ func (d *DER) Observe(b cl.LatentBatch) {
 		return
 	}
 	defer d.met.observe(time.Now(), len(b.Samples))
-	d.head.ZeroGrad()
-	count := 0
-	for _, s := range b.Samples {
-		d.head.AccumulateCE(s.Z, s.Label, 1)
-		count++
+	// One packed step over [incoming: CE | draw 1: α·logit MSE | draw 2:
+	// β·CE], averaged over every row: DER++'s three terms as one gradient.
+	train := append(d.trainBuf[:0], b.Samples...)
+	rows := d.rowBuf[:0]
+	for range b.Samples {
+		rows = append(rows, cl.LossRow{CE: 1})
 	}
 	d.drawBuf = d.buf.SampleInto(d.drawBuf[:0], d.cfg.ReplaySize)
-	for _, it := range d.drawBuf {
-		d.head.AccumulateMSE(it.Z, it.Logits, d.Alpha)
-		count++
+	first := len(d.drawBuf)
+	d.drawBuf = d.buf.SampleInto(d.drawBuf, d.cfg.ReplaySize)
+	for i, it := range d.drawBuf {
+		train = append(train, cl.LatentSample{Z: it.Z, Label: it.Label})
+		if i < first {
+			rows = append(rows, cl.LossRow{Aux: d.Alpha, Target: it.Logits})
+		} else {
+			rows = append(rows, cl.LossRow{CE: d.Beta})
+		}
 	}
-	d.drawBuf = d.buf.SampleInto(d.drawBuf[:0], d.cfg.ReplaySize)
-	for _, it := range d.drawBuf {
-		d.head.AccumulateCE(it.Z, it.Label, d.Beta)
-		count++
-	}
-	d.head.Step(float64(count))
+	d.trainBuf, d.rowBuf = train, rows
+	d.head.Train(train, cl.Loss{Rows: rows})
 	// Insert with the logits the model produces *now* (post-update, as the
 	// reference implementation records the response it trained to).
 	for _, s := range b.Samples {

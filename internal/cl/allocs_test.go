@@ -35,43 +35,53 @@ func allocEnv(t *testing.T) (*Head, []LatentSample, []*tensor.Tensor) {
 }
 
 // TestAllocsTrainStep pins the tentpole guarantee: one online SGD step over a
-// replay-sized batch performs zero heap allocations after warm-up.
+// replay-sized batch — and over a single sample, which takes the same batched
+// path — performs zero heap allocations after warm-up.
 func TestAllocsTrainStep(t *testing.T) {
 	h, batch, _ := allocEnv(t)
-	got := testing.AllocsPerRun(50, func() { h.TrainCEOn(batch) })
-	if got != 0 {
-		t.Fatalf("TrainCEOn allocates %.0f times/op, want 0", got)
+	for _, b := range [][]LatentSample{batch, batch[:1]} {
+		h.TrainCEOn(b) // warm the B-sized workspace buckets
+		got := testing.AllocsPerRun(50, func() { h.TrainCEOn(b) })
+		if got != 0 {
+			t.Fatalf("TrainCEOn at B=%d allocates %.0f times/op, want 0", len(b), got)
+		}
 	}
 }
 
-// TestAllocsTrainBatched pins the batched training path explicitly: with
-// BatchTrain forced on, the steady-state step — GAP pack, one GEMM per Dense
-// forward, row-wise cross-entropy, batched backward with the fused update —
-// performs zero heap allocations, and the step really does take the batched
-// path (the counter advances).
+// TestAllocsTrainBatched pins the mixed-objective forms of the batched step:
+// a DER-shaped Train (CE, logit-MSE and weighted-CE rows), an LwF-shaped
+// Train (CE plus soft-CE on every row) and a grad-only Accumulate + Step all
+// run the GAP pack, one GEMM per Dense forward, the row-wise loss kernels and
+// the batched backward without a heap allocation.
 func TestAllocsTrainBatched(t *testing.T) {
 	h, batch, _ := allocEnv(t)
-	h.BatchTrain = true
-	h.TrainCEOn(batch) // warm the batched-path scratch (label/zs buffers, batch matrix)
-	before := trainStepBatched.Value()
-	got := testing.AllocsPerRun(50, func() { h.TrainCEOn(batch) })
-	if trainStepBatched.Value() == before {
-		t.Fatal("batched path never engaged")
+	targets := make([]*tensor.Tensor, len(batch))
+	for i, s := range batch {
+		targets[i] = h.Logits(s.Z).Clone()
 	}
-	if got != 0 {
-		t.Fatalf("batched TrainCEOn allocates %.0f times/op, want 0", got)
+	der := make([]LossRow, len(batch))
+	lwf := make([]LossRow, len(batch))
+	for i := range batch {
+		switch i % 3 {
+		case 0:
+			der[i] = LossRow{CE: 1}
+		case 1:
+			der[i] = LossRow{Aux: 0.5, Target: targets[i]}
+		default:
+			der[i] = LossRow{CE: 0.5}
+		}
+		lwf[i] = LossRow{CE: 1, Aux: 4, Target: targets[i]}
 	}
-}
-
-// TestAllocsTrainPerSample pins the per-sample reference path at the same
-// standard: the fallback must stay allocation-free too.
-func TestAllocsTrainPerSample(t *testing.T) {
-	h, batch, _ := allocEnv(t)
-	h.BatchTrain = false
-	h.TrainCEOn(batch)
-	got := testing.AllocsPerRun(50, func() { h.TrainCEOn(batch) })
-	if got != 0 {
-		t.Fatalf("per-sample TrainCEOn allocates %.0f times/op, want 0", got)
+	steps := map[string]func(){
+		"der":        func() { h.Train(batch, Loss{Rows: der}) },
+		"lwf":        func() { h.Train(batch, Loss{Rows: lwf, Temperature: 2}) },
+		"accumulate": func() { h.ZeroGrad(); h.Accumulate(batch, Loss{}); h.Step(float64(len(batch))) },
+	}
+	for name, step := range steps {
+		step()
+		if got := testing.AllocsPerRun(50, step); got != 0 {
+			t.Errorf("%s step allocates %.0f times/op, want 0", name, got)
+		}
 	}
 }
 

@@ -233,17 +233,22 @@ func TestHeadSnapshotRestore(t *testing.T) {
 	}
 }
 
+// TestHeadAccumulateSoftAndMSE drives the grad-only Accumulate + Step pair
+// with a target-only objective (CE weight 0): distillation and logit MSE
+// must each pull the head toward its target.
 func TestHeadAccumulateSoftAndMSE(t *testing.T) {
 	set := testEnv(t)
 	h := NewHead(set.Backbone, HeadConfig{LR: 0.05, Seed: 5})
-	z := set.Train[0].Z
+	one := set.Train[:1]
+	z := one[0].Z
 	teacher := h.Logits(z).Clone()
 	teacher.Data()[0] += 2
 	// Distilling toward the teacher must reduce soft loss over steps.
+	soft := Loss{Rows: []LossRow{{Aux: 4, Target: teacher}}, Temperature: 2}
 	var first, last float64
 	for i := 0; i < 20; i++ {
 		h.ZeroGrad()
-		loss := h.AccumulateSoft(z, teacher, 2, 1)
+		loss := h.Accumulate(one, soft)
 		h.Step(1)
 		if i == 0 {
 			first = loss
@@ -258,9 +263,10 @@ func TestHeadAccumulateSoftAndMSE(t *testing.T) {
 	target := h2.Logits(z).Clone()
 	target.Data()[1] += 1
 	first, last = 0, 0
+	mse := Loss{Rows: []LossRow{{Aux: 1, Target: target}}}
 	for i := 0; i < 20; i++ {
 		h2.ZeroGrad()
-		loss := h2.AccumulateMSE(z, target, 1)
+		loss := h2.Accumulate(one, mse)
 		h2.Step(1)
 		if i == 0 {
 			first = loss

@@ -12,38 +12,28 @@ import (
 )
 
 // Head wraps a freshly initialised trainable head g(·) with its optimizer and
-// exposes the gradient-accumulation primitives the continual learners share.
-// Every learner owns its own Head; the frozen extractor is shared via
-// LatentSet.
+// exposes the one training protocol the continual learners share: every
+// update packs its samples into one [B, D] matrix, so each Dense layer runs
+// one GEMM per pass (Train, Accumulate). Every learner owns its own Head; the
+// frozen extractor is shared via LatentSet.
 type Head struct {
 	Net *nn.Sequential
 	Opt *nn.SGD
 	// Classes is the logit width.
 	Classes int
-	// gradScratch is the reusable logit-gradient buffer for the batched
-	// cross-entropy path; a Head belongs to exactly one learner (one run), so
-	// reuse is race-free. softScratch additionally holds the softened teacher
-	// distribution for distillation losses.
-	gradScratch *tensor.Tensor
-	softScratch *tensor.Tensor
 	// ws is the head's private tensor pool, threaded through every layer and
-	// the optimizer by NewHead. It makes the steady-state train step and eval
-	// batch allocation-free; hand-built Heads (struct literals in tests) leave
-	// it nil and simply fall back to allocating paths.
+	// the optimizer. It makes the steady-state train step and eval batch
+	// allocation-free. NewHead attaches it; hand-built Heads (struct literals
+	// in tests) get one on their first training step, and evaluate through
+	// allocating paths until then.
 	ws *tensor.Workspace
 	// params caches Net.Params() — the walk allocates, and ZeroGrad/Step run
 	// once per online step.
 	params []*nn.Param
-	// BatchTrain selects the batched training path in TrainCEOn: samples pack
-	// into one [N, D] workspace matrix and each Dense layer runs one GEMM per
-	// pass instead of N GEMV round-trips. NewHead sets it from the package
-	// default (on; see SetBatchTrainDefault); hand-built heads leave it false
-	// and train per sample. Chains the batched protocol cannot express (conv
-	// tails, ragged latents) fall back per sample regardless.
-	BatchTrain bool
-	// labelBuf and zsBuf are reusable packing scratch for the batched path.
-	labelBuf []int
-	zsBuf    []*tensor.Tensor
+	// scratch and zsBuf are reusable packing scratch for the training step; a
+	// Head belongs to exactly one learner, so reuse is race-free.
+	scratch stepScratch
+	zsBuf   []*tensor.Tensor
 }
 
 // HeadConfig controls head construction.
@@ -78,15 +68,22 @@ func NewHead(backbone *mobilenet.Model, cfg HeadConfig) *Head {
 	opt := nn.NewSGD(cfg.LR)
 	opt.Momentum = cfg.Momentum
 	opt.WeightDecay = cfg.WeightDecay
-	h := &Head{Net: fresh.Head, Opt: opt, Classes: cfgM.NumClasses, ws: tensor.NewWorkspace(), BatchTrain: BatchTrainDefault()}
-	nn.AttachWorkspace(h.Net, h.ws)
-	opt.SetWorkspace(h.ws)
+	h := &Head{Net: fresh.Head, Opt: opt, Classes: cfgM.NumClasses}
+	h.attachWorkspace()
 	h.params = h.Net.Params()
 	return h
 }
 
-// Workspace exposes the head's tensor pool (nil for hand-built heads). It is
-// single-owner: only the goroutine driving this head may touch it.
+// attachWorkspace gives the head its private tensor pool.
+func (h *Head) attachWorkspace() {
+	h.ws = tensor.NewWorkspace()
+	nn.AttachWorkspace(h.Net, h.ws)
+	h.Opt.SetWorkspace(h.ws)
+}
+
+// Workspace exposes the head's tensor pool (nil for a hand-built head that
+// has not trained yet). It is single-owner: only the goroutine driving this
+// head may touch it.
 func (h *Head) Workspace() *tensor.Workspace { return h.ws }
 
 // cachedParams returns the parameter list, walking the layer tree only once.
@@ -179,128 +176,83 @@ func (h *Head) ZeroGrad() {
 	}
 }
 
-// ensureGrad returns the shared logit-gradient scratch, sized to n.
-func (h *Head) ensureGrad(n int) *tensor.Tensor {
-	if h.gradScratch == nil || h.gradScratch.Len() != n {
-		h.gradScratch = tensor.New(n)
-	}
-	return h.gradScratch
-}
-
-// AccumulateCE adds the cross-entropy gradient of one (latent, label) pair,
-// scaled by weight, and returns the loss.
-func (h *Head) AccumulateCE(z *tensor.Tensor, label int, weight float64) float64 {
-	logits := h.Net.Forward(z, true)
-	g := h.ensureGrad(logits.Len())
-	loss := nn.CrossEntropyInto(logits, label, g)
-	if weight != 1 {
-		g.Scale(float32(weight))
-	}
-	h.Net.Backward(g)
-	return loss * weight
-}
-
-// AccumulateSoft adds the distillation gradient against teacher logits at the
-// given temperature, scaled by weight·T² (Hinton scaling), and returns the
-// scaled loss.
-func (h *Head) AccumulateSoft(z, teacher *tensor.Tensor, temperature, weight float64) float64 {
-	logits := h.Net.Forward(z, true)
-	g := h.ensureGrad(logits.Len())
-	if h.softScratch == nil || h.softScratch.Len() != logits.Len() {
-		h.softScratch = tensor.New(logits.Len())
-	}
-	loss := nn.SoftCrossEntropyInto(logits, teacher, temperature, g, h.softScratch)
-	s := weight * temperature * temperature
-	g.Scale(float32(s))
-	h.Net.Backward(g)
-	return loss * s
-}
-
-// AccumulateMSE adds the DER logit-consistency gradient, scaled by weight.
-func (h *Head) AccumulateMSE(z, targetLogits *tensor.Tensor, weight float64) float64 {
-	logits := h.Net.Forward(z, true)
-	g := h.ensureGrad(logits.Len())
-	loss := nn.MSELogitsInto(logits, targetLogits, g)
-	if weight != 1 {
-		g.Scale(float32(weight))
-	}
-	h.Net.Backward(g)
-	return loss * weight
-}
-
-// Step applies the optimizer with gradients scaled by 1/denom (denom ≤ 0 is
-// treated as 1), then clears them. With a fused-capable optimizer (NewSGD
-// default, no grad clipping) the scale/update/zero triple runs as one sweep
-// per parameter; results are bit-identical to the split sequence.
-func (h *Head) Step(denom float64) {
-	ps := h.cachedParams()
-	if h.Opt.Fused && h.Opt.GradClip == 0 {
-		inv := float32(1)
-		if denom > 0 && denom != 1 {
-			inv = float32(1 / denom)
-		}
-		for _, p := range ps {
-			h.Opt.FusedStepParam(p, inv)
-		}
-		return
-	}
-	if denom > 0 && denom != 1 {
-		inv := float32(1 / denom)
-		for _, p := range ps {
-			p.Grad.Scale(inv)
-		}
-	}
-	for _, p := range ps {
-		h.Opt.StepParam(p)
-	}
-	h.ZeroGrad()
-}
-
-// TrainCEOn performs one complete SGD step of averaged cross-entropy over the
-// given samples. It is the common "interleave incoming and replay" update.
-// The whole batch shares one scratch logit-gradient tensor, so the hot online
-// loop allocates nothing per sample beyond the forward activations.
-func (h *Head) TrainCEOn(samples []LatentSample) float64 {
+// Train performs one complete SGD step over the samples under a per-row
+// objective (see LossOf): the batch packs into one [B, D] matrix, runs one
+// batched forward, turns its [B, C] logits into one gradient matrix and
+// walks one batched backward with the update folded in, averaging over B.
+// Every learner trains through here, B = 1 included. Returns the mean
+// row-weighted loss.
+func (h *Head) Train(samples []LatentSample, loss Loss) float64 {
 	if len(samples) == 0 {
 		return 0
 	}
 	defer observeTrainStep(time.Now(), len(samples))
 	h.ZeroGrad()
-	if h.BatchTrain && len(samples) > 1 {
-		if loss, ok := h.trainCEBatched(samples); ok {
-			trainStepBatched.Add(1)
-			return loss
-		}
+	x, start := h.pack(samples)
+	return trainStep(h.Net, h.Opt, h.ws, x, start, loss, &h.scratch) / float64(len(samples))
+}
+
+// Accumulate is Train without the update: the batch's summed gradient is
+// added to the parameters' Grad (not cleared first), for learners that edit
+// gradients before their own Step — EWC's penalty, GSS's gradient sketch.
+// Returns the summed row-weighted loss.
+func (h *Head) Accumulate(samples []LatentSample, loss Loss) float64 {
+	if len(samples) == 0 {
+		return 0
 	}
-	var loss float64
+	x, start := h.pack(samples)
+	return trainStep(h.Net, nil, h.ws, x, start, loss, &h.scratch)
+}
+
+// TrainCEOn is Train with unit-weight cross-entropy on every sample, the
+// common "interleave incoming and replay" update.
+func (h *Head) TrainCEOn(samples []LatentSample) float64 {
+	return h.Train(samples, Loss{})
+}
+
+// pack lays the samples out as the step's input matrix, borrowed from the
+// head's workspace (attached here on a hand-built head's first step), fills
+// the label scratch, and returns the layer the matrix enters. GAP-first
+// heads pool each [C,H,W] latent straight into its row.
+func (h *Head) pack(samples []LatentSample) (*tensor.Tensor, int) {
+	if h.ws == nil {
+		h.attachWorkspace()
+	}
+	start := batchStart(h.Net, samples)
+	h.scratch.setLabels(samples)
 	n := len(samples)
-	fused := h.Opt.Fused && h.Opt.GradClip == 0
-	if fused {
-		trainStepFused.Add(1)
-	} else {
-		trainStepSplit.Add(1)
-	}
-	for i, s := range samples {
-		logits := h.Net.Forward(s.Z, true)
-		g := h.ensureGrad(logits.Len())
-		loss += nn.CrossEntropyInto(logits, s.Label, g)
-		if fused && i == n-1 {
-			// The last sample's backward carries the optimizer update with
-			// it: earlier samples accumulated into the grads as usual, the
-			// final contribution flows straight through the fused kernels.
-			inv := float32(1)
-			if n > 1 {
-				inv = float32(1 / float64(n))
-			}
-			h.Net.BackwardSGD(g, h.Opt, inv)
-		} else {
-			h.Net.Backward(g)
+	if start == 1 {
+		zs := resize(h.zsBuf, n)
+		for i, s := range samples {
+			zs[i] = s.Z
 		}
+		h.zsBuf = zs
+		x := h.ws.Get(n, samples[0].Z.Dim(0))
+		tensor.GlobalAvgPoolRowsInto(x, zs)
+		return x, start
 	}
-	if !fused {
-		h.Step(float64(n))
+	d := samples[0].Z.Len()
+	x := h.ws.Get(n, d)
+	xd := x.Data()
+	for i, s := range samples {
+		copy(xd[i*d:(i+1)*d], s.Z.Data())
 	}
-	return loss / float64(n)
+	return x, start
+}
+
+// Step applies the optimizer with gradients scaled by 1/denom (denom ≤ 0 is
+// treated as 1), then clears them. With a fused-capable optimizer (NewSGD
+// default, no grad clipping) the scale/update/zero triple runs as one sweep
+// per parameter; otherwise FusedStepParam runs the bit-identical split
+// sequence.
+func (h *Head) Step(denom float64) {
+	inv := float32(1)
+	if denom > 0 && denom != 1 {
+		inv = float32(1 / denom)
+	}
+	for _, p := range h.cachedParams() {
+		h.Opt.FusedStepParam(p, inv)
+	}
 }
 
 // Params returns the head's trainable parameters.

@@ -22,14 +22,14 @@ type Ref64 struct {
 	zBuf    *tensor.Tensor64 // widened-latent scratch
 	grad    *tensor.Tensor64 // logit-gradient scratch
 	params  []*nn.ParamOf[float64]
-	// Batched opts the reference tier into the batched training path through
-	// the same serial float64 kernels. Off by default — the per-sample loop is
-	// the auditable reference — and when on, every step is bit-identical to
-	// the per-sample run: each parameter-gradient element accumulates over
-	// samples in ascending stream order either way.
+	// Batched opts the reference tier into the fast tier's batched training
+	// step through the same serial float64 kernels. Off by default — the
+	// per-sample loop is the auditable reference — and when on, every step is
+	// bit-identical to the per-sample run: each parameter-gradient element
+	// accumulates over samples in ascending stream order either way.
 	Batched bool
-	// labelBuf is reusable packing scratch for the batched path.
-	labelBuf []int
+	// scratch is reusable packing scratch for the batched path.
+	scratch stepScratch
 }
 
 // NewRef64 widens a fast-tier head into an independent float64 learner. The
@@ -50,11 +50,11 @@ func NewRef64(h *Head) (*Ref64, error) {
 	opt.Momentum = h.Opt.Momentum
 	opt.WeightDecay = h.Opt.WeightDecay
 	opt.GradClip = h.Opt.GradClip
-	// The reference tier deliberately runs the split (scale → step → zero)
-	// update path: it is the measuring stick, not the product, so it favours
-	// the straightforward kernels. Since split and fused are bit-identical
+	// The reference tier always runs the split (scale → step → zero) update
+	// path: it is the measuring stick, not the product, so it favours the
+	// straightforward kernels. Since split and fused are bit-identical
 	// (TestFusedStepBitIdentity*), this also makes the fp32↔fp64 parity test a
-	// cross-check of the fused fold rather than fused-vs-fused.
+	// cross-check of the fast tier's fused fold rather than fused-vs-fused.
 	opt.Fused = false
 	r := &Ref64{Net: net, Opt: opt, Classes: h.Classes, ws: tensor.NewWorkspaceOf[float64]()}
 	nn.AttachWorkspaceOf(r.Net, r.ws)
@@ -79,8 +79,8 @@ func (r *Ref64) widen(z *tensor.Tensor) *tensor.Tensor64 {
 }
 
 // Observe implements Learner: one averaged cross-entropy step over the batch
-// through the double-precision kernels (the split path unless Opt.Fused is
-// re-enabled).
+// through the double-precision kernels — per sample, then the split update,
+// unless Batched routes it through the shared batched step.
 func (r *Ref64) Observe(b LatentBatch) {
 	n := len(b.Samples)
 	if n == 0 {
@@ -89,35 +89,65 @@ func (r *Ref64) Observe(b LatentBatch) {
 	for _, p := range r.params {
 		p.ZeroGrad()
 	}
-	if r.Batched && n > 1 && r.observeBatched(b.Samples) {
+	if r.Batched {
+		x, start := r.pack(b.Samples)
+		trainStep(r.Net, r.Opt, r.ws, x, start, LossOf[float64]{}, &r.scratch)
 		return
 	}
-	fused := r.Opt.Fused && r.Opt.GradClip == 0
-	inv := float64(1)
-	if n > 1 {
-		inv = 1 / float64(n)
-	}
-	for i, s := range b.Samples {
+	for _, s := range b.Samples {
 		logits := r.Net.Forward(r.widen(s.Z), true)
 		if r.grad == nil || r.grad.Len() != logits.Len() {
 			r.grad = tensor.NewOf[float64](logits.Len())
 		}
 		nn.CrossEntropyInto(logits, s.Label, r.grad)
-		if fused && i == n-1 {
-			r.Net.BackwardSGD(r.grad, r.Opt, inv)
-		} else {
-			r.Net.Backward(r.grad)
-		}
+		r.Net.Backward(r.grad)
 	}
-	if !fused {
-		for _, p := range r.params {
-			if inv != 1 {
-				p.Grad.Scale(inv)
+	for _, p := range r.params {
+		if n > 1 {
+			p.Grad.Scale(1 / float64(n))
+		}
+		r.Opt.StepParam(p)
+		p.ZeroGrad()
+	}
+}
+
+// pack is the reference tier's Head.pack: each latent is widened into its
+// row of the batch matrix, and GAP-first heads pool with the exact serial
+// loop of GlobalAvgPoolInto — ascending-element sums, bit-identical to the
+// per-sample GAP forward on the widened tensor.
+func (r *Ref64) pack(samples []LatentSample) (*tensor.Tensor64, int) {
+	start := batchStart(r.Net, samples)
+	r.scratch.setLabels(samples)
+	n := len(samples)
+	if start == 1 {
+		c := samples[0].Z.Dim(0)
+		x := r.ws.Get(n, c)
+		xd := x.Data()
+		for i, s := range samples {
+			zd := r.widen(s.Z).Data()
+			hh, ww := s.Z.Dim(1), s.Z.Dim(2)
+			inv := 1 / float64(hh*ww)
+			row := xd[i*c : (i+1)*c]
+			for ci := 0; ci < c; ci++ {
+				var sum float64
+				for _, v := range zd[ci*hh*ww : (ci+1)*hh*ww] {
+					sum += v
+				}
+				row[ci] = sum * inv
 			}
-			r.Opt.StepParam(p)
-			p.ZeroGrad()
+		}
+		return x, start
+	}
+	d := samples[0].Z.Len()
+	x := r.ws.Get(n, d)
+	xd := x.Data()
+	for i, s := range samples {
+		row := xd[i*d : (i+1)*d]
+		for j, v := range s.Z.Data() {
+			row[j] = float64(v)
 		}
 	}
+	return x, start
 }
 
 // Predict implements Learner.

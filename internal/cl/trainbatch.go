@@ -1,194 +1,162 @@
 package cl
 
 import (
-	"sync/atomic"
+	"fmt"
 
 	"chameleon/internal/nn"
 	"chameleon/internal/tensor"
 )
 
-// batchTrainDefault controls whether freshly built Heads take the batched
-// training path (one GEMM per Dense over the whole replay batch) when a step
-// has more than one sample. On by default — the per-sample loop remains as
-// the reference and as the fallback for chains the batched protocol cannot
-// express. Atomic because fleet servers construct learners on shard
-// goroutines after the CLI layer flips it once at startup.
-var batchTrainDefault atomic.Bool
+// LossRowOf is one row's objective in a packed training step. CE weighs the
+// cross-entropy against the sample's label. When Target is set, Aux weighs a
+// logit-matching term against it: soft cross-entropy with Target as teacher
+// logits when the step's LossOf.Temperature is positive (LwF distillation;
+// fold Hinton's T² into Aux), logit MSE otherwise (DER's dark-knowledge
+// term). A zero weight contributes nothing, so a row that carries a single
+// term of weight w receives exactly w times the per-sample kernel's gradient.
+type LossRowOf[T tensor.Float] struct {
+	CE     float64
+	Aux    float64
+	Target *tensor.Of[T]
+}
 
-func init() { batchTrainDefault.Store(true) }
+// LossOf is the objective of one packed training step. The zero value trains
+// every row with unit-weight cross-entropy.
+type LossOf[T tensor.Float] struct {
+	// Rows holds one descriptor per sample (nil: unit-weight CE everywhere).
+	Rows []LossRowOf[T]
+	// Temperature, when positive, makes every Target a distillation teacher
+	// at that temperature; otherwise Targets are matched by logit MSE.
+	Temperature float64
+}
 
-// SetBatchTrainDefault flips the default training path for Heads built after
-// the call (the -batch-train CLI flag lands here).
-func SetBatchTrainDefault(on bool) { batchTrainDefault.Store(on) }
+// Loss and LossRow are the fast-tier (float32) step objective.
+type (
+	Loss    = LossOf[float32]
+	LossRow = LossRowOf[float32]
+)
 
-// BatchTrainDefault reports the current default.
-func BatchTrainDefault() bool { return batchTrainDefault.Load() }
+// stepScratch is a learner's reusable packing state for the batched step.
+type stepScratch struct {
+	labels    []int
+	ceW, auxW []float64
+}
 
-// trainCEBatchedOn is the tier-generic core of the batched cross-entropy
-// step, shared by the fp32 Head and the fp64 Ref64 reference learner: one
-// batched forward from layer start over the packed [N, D] matrix x (consumed),
-// the row-wise cross-entropy computed in place on the logit matrix, and the
-// batched backward with the SGD update folded in where the optimizer allows.
-// Returns the mean loss. The caller must have zeroed the parameter gradients
-// (matching the per-sample path's ZeroGrad) and validated the chain via
-// SupportsBatchTrain.
-func trainCEBatchedOn[T tensor.Float](net *nn.SequentialOf[T], opt *nn.SGDOf[T], ws *tensor.WorkspaceOf[T], x *tensor.Of[T], start int, labels []int) float64 {
-	n := len(labels)
+// setLabels fills the label scratch from samples.
+func (sc *stepScratch) setLabels(samples []LatentSample) {
+	sc.labels = resize(sc.labels, len(samples))
+	for i, s := range samples {
+		sc.labels[i] = s.Label
+	}
+}
+
+// resize returns buf with length n, reallocating only when it is too small.
+func resize[E any](buf []E, n int) []E {
+	if cap(buf) < n {
+		return make([]E, n)
+	}
+	return buf[:n]
+}
+
+// batchStart validates that samples pack into one training matrix for net and
+// returns the layer the packed matrix enters: 1 for a GAP-first head fed
+// [C,H,W] latents (the pooling runs while packing, and its parameter-free
+// backward is skipped), 0 for flat latents. Latents that cannot share a
+// matrix, or a chain without the batched protocol (conv-tail heads, which
+// feed the cost models and are never trained online), are programming
+// errors.
+func batchStart[T tensor.Float](net *nn.SequentialOf[T], samples []LatentSample) int {
+	z0 := samples[0].Z
+	start := 0
+	if len(net.Layers) > 0 {
+		if _, ok := net.Layers[0].(*nn.GlobalAvgPool2DOf[T]); ok && z0.NDim() == 3 {
+			start = 1
+		}
+	}
+	for _, s := range samples {
+		z := s.Z
+		if start == 1 && (z.NDim() != 3 || z.Dim(0) != z0.Dim(0)) || start == 0 && (z.NDim() != 1 || z.Len() != z0.Len()) {
+			panic(fmt.Sprintf("cl: latents %v and %v do not pack into one training batch", z0.Shape(), z.Shape()))
+		}
+	}
+	if !net.SupportsBatchTrain(start) {
+		panic(fmt.Sprintf("cl: head %q has a layer without batched training from layer %d on (conv-tail heads are not trainable online)", net.Name(), start))
+	}
+	return start
+}
+
+// trainStep is the tier-generic core of every head update, shared by the fp32
+// Head and the fp64 Ref64 reference learner: one batched train-mode forward
+// from layer start over the packed [B, D] matrix x (consumed), the per-row
+// loss gradient against sc's labels written over the logit matrix, and one
+// batched backward. With opt set the SGD update is folded into the backward
+// at invScale 1/B; with opt nil the gradients only accumulate into the
+// parameters' Grad. Returns the summed (row-weighted) loss.
+func trainStep[T tensor.Float](net *nn.SequentialOf[T], opt *nn.SGDOf[T], ws *tensor.WorkspaceOf[T], x *tensor.Of[T], start int, loss LossOf[T], sc *stepScratch) float64 {
+	labels := sc.labels
 	logits := net.ForwardBatchTrain(x, start, ws)
-	loss := nn.CrossEntropyRowsInto(logits, labels, logits)
+	var sum float64
+	if loss.Rows == nil {
+		sum = nn.CrossEntropyRowsInto(logits, labels, nil, logits)
+	} else {
+		sum = mixedLossInto(logits, labels, loss, ws, sc)
+	}
+	if opt == nil {
+		net.BackwardBatchFrom(logits, start, ws)
+		return sum
+	}
 	inv := T(1)
-	if n > 1 {
+	if n := len(labels); n > 1 {
 		inv = T(1 / float64(n))
 	}
 	net.BackwardSGDBatchFrom(logits, start, opt, inv, ws)
-	return loss / float64(n)
+	return sum
 }
 
-// trainCEBatched attempts the batched training step. It reports false — and
-// touches nothing — when the head's chain cannot take it: no workspace
-// (hand-built heads), conv-tail heads, or ragged sample shapes that cannot
-// pack into one matrix. The caller falls back to the per-sample loop, which
-// handles every chain.
-func (h *Head) trainCEBatched(samples []LatentSample) (float64, bool) {
-	n := len(samples)
-	layers := h.Net.Layers
-	if h.ws == nil || len(layers) == 0 {
-		return 0, false
+// mixedLossInto overwrites the [B, C] logit matrix with the gradient of a
+// per-row mixed objective and returns the summed loss. The target term is
+// computed first, from the untouched logits, into a second matrix; the
+// cross-entropy term then lands in place and the two add. Where a row's
+// other term has weight 0 the addend is a signed zero, which leaves the
+// single term's gradient exact.
+func mixedLossInto[T tensor.Float](logits *tensor.Of[T], labels []int, loss LossOf[T], ws *tensor.WorkspaceOf[T], sc *stepScratch) float64 {
+	n, c := logits.Dim(0), logits.Dim(1)
+	if len(loss.Rows) != n {
+		panic(fmt.Sprintf("cl: loss has %d rows for a batch of %d", len(loss.Rows), n))
 	}
-	start := 0
-	gap := false
-	if _, ok := layers[0].(*nn.GlobalAvgPool2D); ok && samples[0].Z.NDim() == 3 {
-		c := samples[0].Z.Dim(0)
-		for _, s := range samples {
-			if s.Z.NDim() != 3 || s.Z.Dim(0) != c {
-				return 0, false
-			}
+	sc.ceW, sc.auxW = resize(sc.ceW, n), resize(sc.auxW, n)
+	var tgt *tensor.Of[T]
+	for r, row := range loss.Rows {
+		sc.ceW[r], sc.auxW[r] = row.CE, 0
+		if row.Target == nil {
+			continue
 		}
-		gap = true
-		start = 1
-	} else {
-		if samples[0].Z.NDim() != 1 {
-			return 0, false
+		if row.Target.Len() != c {
+			panic(fmt.Sprintf("cl: loss row %d target has %d logits, want %d", r, row.Target.Len(), c))
 		}
-		d := samples[0].Z.Len()
-		for _, s := range samples {
-			if s.Z.NDim() != 1 || s.Z.Len() != d {
-				return 0, false
-			}
+		if tgt == nil {
+			tgt = ws.GetZeroed(n, c)
 		}
+		sc.auxW[r] = row.Aux
+		copy(tgt.Data()[r*c:(r+1)*c], row.Target.Data())
 	}
-	if !h.Net.SupportsBatchTrain(start) {
-		return 0, false
-	}
-	if cap(h.labelBuf) < n {
-		h.labelBuf = make([]int, n)
-	}
-	labels := h.labelBuf[:n]
-	for i, s := range samples {
-		labels[i] = s.Label
-	}
-	var x *tensor.Tensor
-	if gap {
-		// GAP-first heads pack through the pooling kernel straight into the
-		// batch matrix; the parameter-free GAP layer is then skipped entirely
-		// (forward and backward) — its per-sample broadcast backward is pure
-		// overhead the batched path does not pay.
-		c := samples[0].Z.Dim(0)
-		if cap(h.zsBuf) < n {
-			h.zsBuf = make([]*tensor.Tensor, n)
+	var sum float64
+	var aux *tensor.Of[T]
+	if tgt != nil {
+		aux = ws.Get(n, c)
+		if loss.Temperature > 0 {
+			p := ws.Get(n, c)
+			sum += nn.SoftCrossEntropyRowsInto(logits, tgt, loss.Temperature, sc.auxW, aux, p)
+			ws.Put(p)
+		} else {
+			sum += nn.MSELogitsRowsInto(logits, tgt, sc.auxW, aux)
 		}
-		zs := h.zsBuf[:n]
-		for i, s := range samples {
-			zs[i] = s.Z
-		}
-		x = h.ws.Get(n, c)
-		tensor.GlobalAvgPoolRowsInto(x, zs)
-	} else {
-		d := samples[0].Z.Len()
-		x = h.ws.Get(n, d)
-		xd := x.Data()
-		for i, s := range samples {
-			copy(xd[i*d:(i+1)*d], s.Z.Data())
-		}
+		ws.Put(tgt)
 	}
-	return trainCEBatchedOn(h.Net, h.Opt, h.ws, x, start, labels), true
-}
-
-// observeBatched is the reference tier's batched step: the same driver as the
-// fast tier over float64 kernels, with each latent widened into its row of
-// the batch matrix. Reports false for chains the batched protocol cannot
-// express; the caller falls back to the per-sample reference loop.
-func (r *Ref64) observeBatched(samples []LatentSample) bool {
-	n := len(samples)
-	layers := r.Net.Layers
-	if len(layers) == 0 {
-		return false
+	sum += nn.CrossEntropyRowsInto(logits, labels, sc.ceW, logits)
+	if aux != nil {
+		logits.AddInPlace(aux)
+		ws.Put(aux)
 	}
-	start := 0
-	gap := false
-	if _, ok := layers[0].(*nn.GlobalAvgPool2DOf[float64]); ok && samples[0].Z.NDim() == 3 {
-		c := samples[0].Z.Dim(0)
-		for _, s := range samples {
-			if s.Z.NDim() != 3 || s.Z.Dim(0) != c {
-				return false
-			}
-		}
-		gap = true
-		start = 1
-	} else {
-		if samples[0].Z.NDim() != 1 {
-			return false
-		}
-		d := samples[0].Z.Len()
-		for _, s := range samples {
-			if s.Z.NDim() != 1 || s.Z.Len() != d {
-				return false
-			}
-		}
-	}
-	if !r.Net.SupportsBatchTrain(start) {
-		return false
-	}
-	if cap(r.labelBuf) < n {
-		r.labelBuf = make([]int, n)
-	}
-	labels := r.labelBuf[:n]
-	for i, s := range samples {
-		labels[i] = s.Label
-	}
-	var x *tensor.Tensor64
-	if gap {
-		// Widen each latent and pool it into its row with the exact serial
-		// loop of GlobalAvgPoolInto — ascending-element sums, bit-identical to
-		// the per-sample GAP forward on the widened tensor.
-		c := samples[0].Z.Dim(0)
-		x = r.ws.Get(n, c)
-		xd := x.Data()
-		for i, s := range samples {
-			zd := r.widen(s.Z).Data()
-			hh, ww := s.Z.Dim(1), s.Z.Dim(2)
-			inv := 1 / float64(hh*ww)
-			row := xd[i*c : (i+1)*c]
-			for ci := 0; ci < c; ci++ {
-				var sum float64
-				for _, v := range zd[ci*hh*ww : (ci+1)*hh*ww] {
-					sum += v
-				}
-				row[ci] = sum * inv
-			}
-		}
-	} else {
-		d := samples[0].Z.Len()
-		x = r.ws.Get(n, d)
-		xd := x.Data()
-		for i, s := range samples {
-			zd := s.Z.Data()
-			row := xd[i*d : (i+1)*d]
-			for j, v := range zd {
-				row[j] = float64(v)
-			}
-		}
-	}
-	trainCEBatchedOn(r.Net, r.Opt, r.ws, x, start, labels)
-	return true
+	return sum
 }

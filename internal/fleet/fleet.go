@@ -124,7 +124,8 @@ func (c Config) withDefaults() Config {
 type Stats = api.FleetStats
 
 // request is one unit of work routed to a shard. Exactly one of z (predict)
-// or samples (observe) is set.
+// or samples (observe) is set, except for a Sync barrier, which carries no
+// user and no work.
 type request struct {
 	user    string
 	z       *tensor.Tensor
@@ -328,6 +329,46 @@ func (f *Fleet) Observe(ctx context.Context, user string, samples []cl.LatentSam
 	}
 }
 
+// Sync is a barrier: it returns once every shard has finished each request
+// enqueued before the call, including the eviction pass that runs after a
+// request's response is sent. Eviction stays off the request path; Sync is
+// how a caller waits for its side effects (checkpoint files, eviction
+// counters). On a draining fleet it waits for the drain to finish. Returns
+// ctx's error if the wait outruns it.
+func (f *Fleet) Sync(ctx context.Context) error {
+	f.mu.RLock()
+	if f.draining {
+		f.mu.RUnlock()
+		for _, sh := range f.shards {
+			select {
+			case <-sh.done:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}
+		return nil
+	}
+	barriers := make([]*request, len(f.shards))
+	for i, sh := range f.shards {
+		barriers[i] = &request{resp: make(chan response, 1)}
+		select {
+		case sh.q <- barriers[i]:
+		case <-ctx.Done():
+			f.mu.RUnlock()
+			return ctx.Err()
+		}
+	}
+	f.mu.RUnlock()
+	for _, r := range barriers {
+		select {
+		case <-r.resp:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	return nil
+}
+
 // Stats snapshots the fleet counters.
 func (f *Fleet) Stats() Stats {
 	var resident int64
@@ -393,8 +434,13 @@ func (s *shard) run() {
 
 // handle resolves the user's learner (fault-in or first-contact creation),
 // applies the request, refreshes the LRU position, and evicts past-budget
-// learners.
+// learners. A Sync barrier is answered at once: everything queued before it
+// has already been handled, evictions included.
 func (s *shard) handle(r *request) {
+	if r.user == "" {
+		r.resp <- response{}
+		return
+	}
 	e, err := s.entryFor(r.user)
 	if err != nil {
 		r.resp <- response{err: err}

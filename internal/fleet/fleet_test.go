@@ -93,6 +93,16 @@ func observeLabels(t *testing.T, f *Fleet, user string, labels ...int) (batch, t
 	return batch, total
 }
 
+// syncFleet waits for every shard's queued work, evictions included.
+func syncFleet(t *testing.T, f *Fleet) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := f.Sync(ctx); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+}
+
 func predict(t *testing.T, f *Fleet, user string) int {
 	t.Helper()
 	class, err := f.Predict(context.Background(), user, tensor.New(1))
@@ -127,9 +137,8 @@ func TestLRUEvictionAndFaultIn(t *testing.T) {
 	f := newTestFleet(t, Config{Shards: 1, HotSet: 1})
 	observeLabels(t, f, "u1", 1, 2)
 	observeLabels(t, f, "u2", 5) // evicts u1 (LRU) past the 1-slot budget
-	// Eviction runs after the triggering response is sent; a follow-up
-	// request on the same (single-writer) shard synchronises with it.
-	predict(t, f, "u2")
+	// Eviction runs after the triggering response is sent; Sync waits for it.
+	syncFleet(t, f)
 
 	st := f.Stats()
 	if st.Evictions != 1 || st.Resident != 1 {
@@ -146,6 +155,7 @@ func TestLRUEvictionAndFaultIn(t *testing.T) {
 	if b, n := observeLabels(t, f, "u1", 7); b != 1 || n != 3 {
 		t.Fatalf("faulted-in u1 batch: index %d total %d, want 1/3", b, n)
 	}
+	syncFleet(t, f)
 	st = f.Stats()
 	if st.FaultIns != 1 || st.Evictions != 2 {
 		t.Fatalf("after fault-in: %+v", st)
@@ -205,6 +215,7 @@ func TestShutdownDrainsAndRefuses(t *testing.T) {
 	if err := f.Shutdown(ctx); err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
+	syncFleet(t, f) // a drained fleet has nothing left in flight
 	if st := f.Stats(); st.Resident != 0 {
 		t.Fatalf("residents after drain: %d", st.Resident)
 	}
@@ -300,6 +311,7 @@ func TestConcurrentEvictingUser(t *testing.T) {
 		}(u)
 	}
 	wg.Wait()
+	syncFleet(t, f)
 	st := f.Stats()
 	if st.Evictions == 0 {
 		t.Fatal("no evictions under a 1-slot hot-set")

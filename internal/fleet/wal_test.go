@@ -54,8 +54,10 @@ func TestLogRepairsCorruptCheckpoint(t *testing.T) {
 			t.Fatalf("u1 batch %d assigned %d", i, got)
 		}
 	}
-	// A second user evicts u1 (hot set of one) to its checkpoint file.
+	// A second user evicts u1 (hot set of one) to its checkpoint file, after
+	// the observe's response; Sync waits for the eviction to land.
 	observeLat(t, f, "u2", 9)
+	syncFleet(t, f)
 	path := f.userPath("u1")
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("u1 was not evicted: %v", err)
@@ -120,6 +122,7 @@ func TestReplayGapFailsLoudly(t *testing.T) {
 	f, wlog := walFleet(t, 1)
 	observeLat(t, f, "u1", 0)
 	observeLat(t, f, "u2", 9) // evict u1 at batch position 1
+	syncFleet(t, f)
 
 	// Forge a log record claiming u1's batch 5: the fault-in replay, resuming
 	// at batch 1, must refuse the gap.

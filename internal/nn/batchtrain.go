@@ -8,18 +8,18 @@ import (
 
 // TrainBatchLayerOf is the training twin of BatchLayerOf: the layer runs its
 // train-mode forward (caching whatever its backward needs) and backward over a
-// whole [N, ...] matrix of samples at once. The buffer protocol matches the
-// eval batch path — the input tensor is owned by the caller's workspace chain,
-// implementations may transform it in place and return it, or Get a fresh
-// output from ws (the caller Puts the input back when the returned tensor
-// differs).
+// whole [N, ...] matrix of samples at once. It is the only way a head trains;
+// the per-sample Layer.Backward remains for backbone pretraining and the fp64
+// reference loop. The buffer protocol matches the eval batch path — the input
+// tensor is owned by the caller's workspace chain, implementations may
+// transform it in place and return it, or Get a fresh output from ws (the
+// caller Puts the input back when the returned tensor differs).
 //
-// Equivalence contract (the batched training path's reason to exist): one
-// batched step must compute the same optimizer step as N per-sample
-// forward/backwards accumulated into one Step. On the float64 reference tier
-// that means bit-identical — every parameter-gradient element accumulates
-// over samples in ascending stream order, exactly the per-sample loop's
-// chain — while the float32 fast tier inherits the tier's documented
+// Equivalence contract: one batched step must compute the same optimizer step
+// as N per-sample forward/backwards accumulated into one Step. On the float64
+// reference tier that means bit-identical — every parameter-gradient element
+// accumulates over samples in ascending stream order, exactly the per-sample
+// loop's chain — while the float32 fast tier inherits the tier's documented
 // accumulation-order caveat (tensor/fast32.go) and is held to tolerance
 // instead.
 type TrainBatchLayerOf[T tensor.Float] interface {
@@ -34,11 +34,11 @@ type TrainBatchLayerOf[T tensor.Float] interface {
 	// the layer may skip computing it and return nil — for Dense that deletes
 	// an entire GEMM. Parameter updates are unaffected either way.
 	BackwardBatch(grad *tensor.Of[T], needInput bool, ws *tensor.WorkspaceOf[T]) *tensor.Of[T]
-	// BackwardSGDBatch is BackwardBatch with the SGD update folded in, the
-	// batched extension of FusedLayer: parameters step the moment the batch's
-	// full gradient is known. Callers must check opt.Fused && opt.GradClip ==
-	// 0 first; implementations fall back to BackwardBatch + split stepping
-	// otherwise. The needInput contract matches BackwardBatch.
+	// BackwardSGDBatch is BackwardBatch with the SGD update folded in:
+	// parameters step the moment the batch's full gradient is known, in one
+	// sweep bit-identical to BackwardBatch + SGDOf.FusedStepParam. With
+	// opt.GradClip > 0 or opt.Fused unset, implementations run exactly that
+	// split sequence instead. The needInput contract matches BackwardBatch.
 	BackwardSGDBatch(grad *tensor.Of[T], opt *SGDOf[T], invScale T, needInput bool, ws *tensor.WorkspaceOf[T]) *tensor.Of[T]
 }
 
@@ -47,8 +47,9 @@ type TrainBatchLayer = TrainBatchLayerOf[float32]
 
 // SupportsBatchTrain reports whether every layer from start onward implements
 // the batched training protocol, i.e. whether ForwardBatchTrain /
-// BackwardSGDBatchFrom may be used on this model. Conv-tail heads return
-// false and stay on the per-sample path.
+// BackwardBatchFrom / BackwardSGDBatchFrom may be used on this model.
+// Conv-tail heads return false: they feed the cost models only and are never
+// trained online.
 func (s *SequentialOf[T]) SupportsBatchTrain(start int) bool {
 	if start < 0 || start >= len(s.Layers) {
 		return false
@@ -81,21 +82,33 @@ func (s *SequentialOf[T]) ForwardBatchTrain(x *tensor.Of[T], start int, ws *tens
 }
 
 // BackwardSGDBatchFrom walks the batched backward from the last layer down to
-// layer start inclusive, folding the SGD update per layer when the optimizer
-// allows it (the FusedLayer contract) and falling back to BackwardBatch +
-// split FusedStepDelta otherwise. It consumes grad: every intermediate
-// gradient matrix, including the final input gradient, is returned to ws.
-// Layers below start are never visited — the batched entry points stop at the
-// first trainable layer, so a parameter-free pooling prefix (the GAP-first
-// heads) skips its broadcast backward entirely. The walk also stops at the
-// bottom-most parameterized layer at or above start: its input gradient would
-// feed only parameter-free layers (masks, scales, reshapes) whose own outputs
-// nothing consumes, so that layer is told not to produce it (for Dense that
-// deletes one of the three backward GEMMs) and the layers below are skipped.
-// No parameter update depends on any of the skipped work, so the equivalence
-// contract — fp64 bit-identity, fp32 tolerance — is untouched.
+// layer start inclusive, stepping each layer's parameters through
+// BackwardSGDBatch as soon as its gradient is complete. It consumes grad:
+// every intermediate gradient matrix, including the final input gradient, is
+// returned to ws. Layers below start are never visited — the batched entry
+// points stop at the first trainable layer, so a parameter-free pooling
+// prefix (the GAP-first heads) skips its broadcast backward entirely. The
+// walk also stops at the bottom-most parameterized layer at or above start:
+// its input gradient would feed only parameter-free layers (masks, scales,
+// reshapes) whose own outputs nothing consumes, so that layer is told not to
+// produce it (for Dense that deletes one of the three backward GEMMs) and the
+// layers below are skipped. No parameter update depends on any of the
+// skipped work, so the equivalence contract — fp64 bit-identity, fp32
+// tolerance — is untouched.
 func (s *SequentialOf[T]) BackwardSGDBatchFrom(grad *tensor.Of[T], start int, opt *SGDOf[T], invScale T, ws *tensor.WorkspaceOf[T]) {
-	fused := opt.Fused && opt.GradClip == 0
+	s.backwardBatchFrom(grad, start, opt, invScale, ws)
+}
+
+// BackwardBatchFrom is BackwardSGDBatchFrom without the optimizer: the same
+// walk accumulates every parameter's batch gradient into Grad and steps
+// nothing, for callers that edit gradients before their own step (EWC's
+// penalty, GSS's gradient sketch).
+func (s *SequentialOf[T]) BackwardBatchFrom(grad *tensor.Of[T], start int, ws *tensor.WorkspaceOf[T]) {
+	s.backwardBatchFrom(grad, start, nil, 1, ws)
+}
+
+// backwardBatchFrom is the shared walk; opt == nil accumulates only.
+func (s *SequentialOf[T]) backwardBatchFrom(grad *tensor.Of[T], start int, opt *SGDOf[T], invScale T, ws *tensor.WorkspaceOf[T]) {
 	if s.bwStopKey != start+1 {
 		s.bwStop = start
 		for i := start; i < len(s.Layers); i++ {
@@ -114,13 +127,10 @@ func (s *SequentialOf[T]) BackwardSGDBatchFrom(grad *tensor.Of[T], start int, op
 		}
 		needInput := i > stop
 		var g *tensor.Of[T]
-		if fused {
+		if opt != nil {
 			g = bl.BackwardSGDBatch(grad, opt, invScale, needInput, ws)
 		} else {
 			g = bl.BackwardBatch(grad, needInput, ws)
-			for _, p := range s.Layers[i].Params() {
-				opt.FusedStepDelta(p, nil, invScale)
-			}
 		}
 		if g != grad {
 			ws.Put(grad)
@@ -179,18 +189,16 @@ func (d *DenseOf[T]) BackwardBatch(grad *tensor.Of[T], needInput bool, ws *tenso
 }
 
 // BackwardSGDBatch implements TrainBatchLayer, the batched fused fold: the
-// input gradient runs first (one GEMM against the pre-update weights — the
-// same pre-update reads the per-sample fused fold guarantees), the full-batch
-// parameter gradients accumulate next, and one update sweep then steps the
-// weights. Because the batch's entire gradient is already accumulated, the
-// sweep is the fused fold's zero-delta form — scale, decay, momentum, update,
-// zero — the same per-element expression sequence as the split path, so the
-// reference tier stays bit-identical to per-sample training.
+// input gradient runs first (one GEMM against the pre-update weights), the
+// full-batch parameter gradients accumulate next, and one update sweep then
+// steps the weights — scale, decay, momentum, update, zero, the same
+// per-element expression sequence as FusedStepParam and the split path, so
+// the reference tier stays bit-identical to per-sample training.
 func (d *DenseOf[T]) BackwardSGDBatch(grad *tensor.Of[T], opt *SGDOf[T], invScale T, needInput bool, ws *tensor.WorkspaceOf[T]) *tensor.Of[T] {
 	if opt.GradClip > 0 || !opt.Fused {
 		gx := d.BackwardBatch(grad, needInput, ws)
-		opt.FusedStepDelta(d.w, nil, invScale)
-		opt.FusedStepDelta(d.b, nil, invScale)
+		opt.FusedStepParam(d.w, invScale)
+		opt.FusedStepParam(d.b, invScale)
 		return gx
 	}
 	if d.xB == nil {
@@ -246,9 +254,9 @@ func (d *DenseOf[T]) BackwardSGDBatch(grad *tensor.Of[T], opt *SGDOf[T], invScal
 		if vw != nil {
 			vRow = vw[o*in : (o+1)*in]
 		}
-		// Fast-tier dispatch: the zero-gradient row kernel is exactly the
-		// update-only sweep this path needs (the outer-product term is already
-		// in gwRow), bit-identical to the generic loop below.
+		// Fast-tier dispatch: the update row kernel is exactly this sweep
+		// (the outer-product term is already in gwRow), bit-identical to the
+		// generic loop below.
 		if w32, ok := any(wRow).([]float32); ok {
 			var v32 []float32
 			if vRow != nil {

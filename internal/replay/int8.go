@@ -111,9 +111,10 @@ func (c *Int8Codec) DecodeAlloc(it Item) Item {
 	return it
 }
 
-// decodeInto rewrites items in place, decoding each into its own slot.
-func (c *Int8Codec) decodeInto(items []Item) {
-	for i := range items {
+// decodeInto rewrites items[from:] in place, decoding each into the slot of
+// its index in items.
+func (c *Int8Codec) decodeInto(items []Item, from int) {
+	for i := from; i < len(items); i++ {
 		items[i] = c.Decode(items[i], i)
 	}
 }

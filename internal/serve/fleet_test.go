@@ -205,6 +205,9 @@ func TestFleetShutdownDrainsToDisk(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
+	if err := fl.Sync(ctx); err != nil {
+		t.Fatalf("fleet Sync after drain: %v", err)
+	}
 	if st := fl.Stats(); st.Resident != 0 || st.Evictions == 0 {
 		t.Fatalf("post-drain fleet stats: %+v", st)
 	}

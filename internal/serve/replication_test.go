@@ -315,15 +315,17 @@ func TestErrorCodes(t *testing.T) {
 		}
 		t.Cleanup(func() { _ = s.Close() })
 		// One predict occupies the engine (blocked in the stub), one fills the
-		// depth-1 queue, the third sheds.
+		// depth-1 queue, the third sheds. The second is sent only once the
+		// engine holds the first: sent together, it can find the first still
+		// queued and be shed itself.
 		body, _ := json.Marshal(PredictRequest{Latent: latent(4)})
-		for i := 0; i < 2; i++ {
-			go func() {
-				req := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body))
-				s.Handler().ServeHTTP(httptest.NewRecorder(), req)
-			}()
+		send := func() {
+			req := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body))
+			s.Handler().ServeHTTP(httptest.NewRecorder(), req)
 		}
+		go send()
 		<-l.predictStarted
+		go send()
 		waitFor(t, func() bool { return len(s.predictQ) == 1 })
 		w := postJSON(t, s, "/v1/predict", PredictRequest{Latent: latent(4)})
 		close(l.gate)
@@ -562,12 +564,16 @@ func TestProbeFailoverRecoversDiskTail(t *testing.T) {
 		FailoverAfter: 2,
 	})
 	// The follower needs the primary's log directory for tail recovery; the
-	// rig built it, so rebuild the follower with the dir wired in.
+	// rig built it, so rebuild the follower with the dir wired in. Its pulls
+	// go through a gate the test can hold, so the tail observes below land
+	// before the follower may see a failed pull.
 	rig.cancel()
 	<-rig.folDone
+	gate := &holdTransport{}
 	fol, err := replication.NewFollower(replication.FollowerConfig{
 		PrimaryURL:    rig.pURL,
 		Target:        rig.standby,
+		Client:        &http.Client{Transport: gate, Timeout: 5 * time.Second},
 		PollInterval:  5 * time.Millisecond,
 		FailoverAfter: 2,
 		PrimaryWALDir: rig.pLog.Dir(),
@@ -584,10 +590,12 @@ func TestProbeFailoverRecoversDiskTail(t *testing.T) {
 	rig.feedPrimary(t, 0, 10)
 	rig.awaitSync(t, 10)
 
-	// Hard-kill the primary's HTTP frontend, then land 4 more observes
-	// through its still-running engine (driving the handler directly, the
-	// way in-flight requests would have landed around a SIGKILL): they are
-	// durably logged but never streamed.
+	// Hold the follower's pulls, hard-kill the primary's HTTP frontend, then
+	// land 4 more observes through its still-running engine (driving the
+	// handler directly, the way in-flight requests would have landed around
+	// a SIGKILL): they are durably logged but never streamed. Only once all
+	// four are acknowledged may the follower probe the dead primary.
+	gate.hold()
 	if err := rig.primary.hsrv.Close(); err != nil {
 		t.Fatalf("kill primary listener: %v", err)
 	}
@@ -597,6 +605,7 @@ func TestProbeFailoverRecoversDiskTail(t *testing.T) {
 			t.Fatalf("direct observe %d: HTTP %d", i, w.Code)
 		}
 	}
+	gate.release()
 
 	select {
 	case err := <-done:
@@ -614,6 +623,22 @@ func TestProbeFailoverRecoversDiskTail(t *testing.T) {
 	}
 	requireSnapshotsEqual(t, engineSnapshot(t, rig.primary), engineSnapshot(t, rig.standby), "survivor vs dead primary at batch 14")
 }
+
+// holdTransport is an HTTP transport whose requests can be held: hold waits
+// for in-flight requests to finish and blocks new ones until release.
+type holdTransport struct {
+	mu   sync.RWMutex
+	base http.Transport
+}
+
+func (h *holdTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return h.base.RoundTrip(r)
+}
+
+func (h *holdTransport) hold()    { h.mu.Lock() }
+func (h *holdTransport) release() { h.mu.Unlock() }
 
 // TestRollingRestartZeroFailedRequests is the end-to-end client contract: a
 // loadgen run with -failover across a graceful primary restart must finish
