@@ -66,7 +66,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8080", "HTTP listen address")
 		classes      = flag.Int("classes", 10, "label-space width for -dataset synthetic")
-		batchWindow  = flag.Duration("batch-window", 2*time.Millisecond, "predict micro-batch coalescing window")
+		batchWindow  = flag.Duration("batch-window", 2*time.Millisecond, "longest the engine waits for predicts already being decoded, to answer them in one batch (a lone predict never waits)")
 		maxBatch     = flag.Int("max-batch", 64, "max predict requests answered by one PredictBatch call")
 		queueDepth   = flag.Int("queue", 256, "bounded depth of the predict and observe queues (full queues shed with 429)")
 		reqTimeout   = flag.Duration("request-timeout", 10*time.Second, "max time a request may wait for the engine before 504")

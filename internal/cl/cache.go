@@ -58,8 +58,9 @@ func stripImages(in []data.Sample) []data.Sample {
 
 // LoadLatentSet reads a set written by SaveLatentSet. The backbone model is
 // rebuilt from its config for structural queries (latent shape, head
-// construction); its feature weights are NOT restored — the cached latents
-// are the features, and a loaded set cannot extract new images.
+// construction); its feature weights are NOT restored, so until the caller
+// copies the pretrained features in (exp.BuildLatentSetOpts does), the
+// backbone extracts new images through random features.
 func LoadLatentSet(path string) (*LatentSet, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -57,6 +57,16 @@ func BuildLatentSetOpts(datasetName string, sc Scale, cacheDir string, verbose f
 		cachePath = filepath.Join(cacheDir, key+".latents")
 		if set, err := cl.LoadLatentSet(cachePath); err == nil {
 			verbose("loaded cached latents: %s", cachePath)
+			// The cache holds latents, not weights: restore the pretrained
+			// features so the set's backbone extracts new frames exactly as
+			// the cached ones were.
+			pm, err := pretrainedBackbone(sc, cacheDir, verbose)
+			if err != nil {
+				return nil, err
+			}
+			if err := set.Backbone.CopyFeaturesFrom(pm); err != nil {
+				return nil, fmt.Errorf("exp: transfer features: %w", err)
+			}
 			return set, nil
 		}
 	}

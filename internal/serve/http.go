@@ -112,13 +112,14 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	return nil
 }
 
-// latentFrom validates and materialises one request latent: a flattened fp32
-// latent of exactly the configured shape, the same latent quantized to int8
-// with a finite positive per-tensor scale (dequantized here, before the
-// learner is involved), or (with a backbone) a raw image run through the
-// frozen extractor. Exactly one payload must be set; validation happens
-// entirely before the learner is involved.
-func (s *Server) latentFrom(latent []float32, qz []byte, scale float32, image []float32) (*tensor.Tensor, error) {
+// payloadFrom validates one request payload: a flattened fp32 latent of
+// exactly the configured shape, the same latent quantized to int8 with a
+// finite positive per-tensor scale (dequantized here, before the learner is
+// involved), or (with a backbone) a raw image. Exactly one payload must be
+// set. Latent forms come back as z; the image form comes back unextracted as
+// img, a [3,R,R] view of the request's slice, so a caller holding several can
+// extract them together.
+func (s *Server) payloadFrom(latent []float32, qz []byte, scale float32, image []float32) (z, img *tensor.Tensor, err error) {
 	set := 0
 	for _, present := range []bool{len(latent) > 0, len(qz) > 0, len(image) > 0} {
 		if present {
@@ -126,7 +127,7 @@ func (s *Server) latentFrom(latent []float32, qz []byte, scale float32, image []
 		}
 	}
 	if set > 1 {
-		return nil, fmt.Errorf("exactly one of latent, latent_int8 or image must be set, got %d", set)
+		return nil, nil, fmt.Errorf("exactly one of latent, latent_int8 or image must be set, got %d", set)
 	}
 	switch {
 	case len(latent) > 0:
@@ -135,40 +136,37 @@ func (s *Server) latentFrom(latent []float32, qz []byte, scale float32, image []
 			want *= d
 		}
 		if len(latent) != want {
-			return nil, fmt.Errorf("latent has %d elements, want %d (shape %v)", len(latent), want, s.cfg.LatentShape)
+			return nil, nil, fmt.Errorf("latent has %d elements, want %d (shape %v)", len(latent), want, s.cfg.LatentShape)
 		}
-		return tensor.FromSlice(latent, s.cfg.LatentShape...), nil
+		return tensor.FromSlice(latent, s.cfg.LatentShape...), nil, nil
 	case len(qz) > 0:
 		want := 1
 		for _, d := range s.cfg.LatentShape {
 			want *= d
 		}
 		if len(qz) != want {
-			return nil, fmt.Errorf("latent_int8 has %d elements, want %d (shape %v)", len(qz), want, s.cfg.LatentShape)
+			return nil, nil, fmt.Errorf("latent_int8 has %d elements, want %d (shape %v)", len(qz), want, s.cfg.LatentShape)
 		}
 		if !(scale > 0) || math.IsInf(float64(scale), 0) {
-			return nil, fmt.Errorf("latent_int8 requires a finite positive scale, got %v", scale)
+			return nil, nil, fmt.Errorf("latent_int8 requires a finite positive scale, got %v", scale)
 		}
 		t := tensor.New(s.cfg.LatentShape...)
 		dst := t.Data()
 		for i, b := range qz {
 			dst[i] = float32(int8(b)) * scale
 		}
-		return t, nil
+		return t, nil, nil
 	case len(image) > 0:
 		if s.cfg.Backbone == nil {
-			return nil, fmt.Errorf("this server accepts latents only (no backbone configured)")
+			return nil, nil, fmt.Errorf("this server accepts latents only (no backbone configured)")
 		}
 		res := s.cfg.Backbone.Cfg.Resolution
 		if want := 3 * res * res; len(image) != want {
-			return nil, fmt.Errorf("image has %d elements, want %d (shape [3,%d,%d])", len(image), want, res, res)
+			return nil, nil, fmt.Errorf("image has %d elements, want %d (shape [3,%d,%d])", len(image), want, res, res)
 		}
-		// Eval-mode extraction allocates locally and caches nothing, so
-		// running it on the handler goroutine is safe and keeps the heavy
-		// convolution work off the serialized engine.
-		return s.cfg.Backbone.ExtractLatent(tensor.FromSlice(image, 3, res, res)), nil
+		return nil, tensor.FromSlice(image, 3, res, res), nil
 	default:
-		return nil, fmt.Errorf("one of latent, latent_int8 or image must be set")
+		return nil, nil, fmt.Errorf("one of latent, latent_int8 or image must be set")
 	}
 }
 
@@ -255,23 +253,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if !s.checkReady(w) {
 		return
 	}
-	var req PredictRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		s.m.rejected.Inc()
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "bad request: "+err.Error())
-		return
-	}
-	if !s.checkUserField(w, req.User) {
-		return
-	}
-	z, err := s.latentFrom(req.Latent, req.LatentInt8, req.Scale, req.Image)
-	if err != nil {
-		s.m.rejected.Inc()
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "bad request: "+err.Error())
-		return
-	}
-	t0 := time.Now()
 	if s.cfg.Fleet != nil {
+		req, z, ok := s.decodePredict(w, r)
+		if !ok {
+			return
+		}
+		t0 := time.Now()
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
 		class, err := s.cfg.Fleet.Predict(ctx, req.User, z)
@@ -284,6 +271,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, PredictResponse{Class: class})
 		return
 	}
+	z, ok := s.decodePredictInFlight(w, r)
+	if !ok {
+		return
+	}
+	t0 := time.Now()
 	pr := &predictReq{z: z, ctx: r.Context(), resp: make(chan predictResp, 1)}
 	if ok, draining := enqueue(s, s.predictQ, pr); !ok {
 		s.m.predictShed.Inc()
@@ -291,6 +283,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.m.predictRequests.Inc()
+	timeout := time.NewTimer(s.cfg.RequestTimeout)
+	defer timeout.Stop()
 	select {
 	case resp := <-pr.resp:
 		s.m.predictLatency.ObserveSince(t0)
@@ -302,10 +296,48 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	case <-r.Context().Done():
 		s.m.timeouts.Inc()
 		writeError(w, http.StatusGatewayTimeout, api.CodeTimeout, "client gave up while queued")
-	case <-time.After(s.cfg.RequestTimeout):
+	case <-timeout.C:
 		s.m.timeouts.Inc()
 		writeError(w, http.StatusGatewayTimeout, api.CodeTimeout, "request timed out in queue")
 	}
+}
+
+// decodePredictInFlight is decodePredict counted in predictsDecoding, so the
+// engine's coalescing wait (doPredictBatch) knows this predict is on its
+// way. The count drops just before the caller's enqueue attempt, or on any
+// early return.
+func (s *Server) decodePredictInFlight(w http.ResponseWriter, r *http.Request) (*tensor.Tensor, bool) {
+	s.predictsDecoding.Add(1)
+	defer s.predictsDecoding.Add(-1)
+	_, z, ok := s.decodePredict(w, r)
+	return z, ok
+}
+
+// decodePredict decodes and validates a predict body into its latent (an
+// image is extracted here). On failure the 400 is already written.
+func (s *Server) decodePredict(w http.ResponseWriter, r *http.Request) (PredictRequest, *tensor.Tensor, bool) {
+	var req PredictRequest
+	if err := decodeBody(w, r, &req); err != nil {
+		s.m.rejected.Inc()
+		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "bad request: "+err.Error())
+		return req, nil, false
+	}
+	if !s.checkUserField(w, req.User) {
+		return req, nil, false
+	}
+	z, img, err := s.payloadFrom(req.Latent, req.LatentInt8, req.Scale, req.Image)
+	if err != nil {
+		s.m.rejected.Inc()
+		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "bad request: "+err.Error())
+		return req, nil, false
+	}
+	if img != nil {
+		// Eval-mode extraction allocates locally and caches nothing, so
+		// running it on the handler goroutine is safe and keeps the heavy
+		// convolution work off the serialized engine.
+		z = s.cfg.Backbone.ExtractLatent(img)
+	}
+	return req, z, true
 }
 
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
@@ -331,7 +363,12 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("bad request: batch must hold 1..%d samples, got %d", s.cfg.MaxObserveBatch, len(req.Samples)))
 		return
 	}
+	// Validate every sample before extracting any frame, then run the
+	// batch's images through the extractor together: ExtractLatents shards
+	// them over the worker pool and is bit-identical to extracting one by one.
 	samples := make([]cl.LatentSample, len(req.Samples))
+	var imgs []*tensor.Tensor
+	var imgAt []int
 	for i, sm := range req.Samples {
 		if sm.Label < 0 || sm.Label >= s.cfg.Classes {
 			s.m.rejected.Inc()
@@ -339,13 +376,22 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("bad request: sample %d label %d out of range [0,%d)", i, sm.Label, s.cfg.Classes))
 			return
 		}
-		z, err := s.latentFrom(sm.Latent, sm.LatentInt8, sm.Scale, sm.Image)
+		z, img, err := s.payloadFrom(sm.Latent, sm.LatentInt8, sm.Scale, sm.Image)
 		if err != nil {
 			s.m.rejected.Inc()
 			writeError(w, http.StatusBadRequest, api.CodeBadRequest, fmt.Sprintf("bad request: sample %d: %v", i, err))
 			return
 		}
+		if img != nil {
+			imgs = append(imgs, img)
+			imgAt = append(imgAt, i)
+		}
 		samples[i] = cl.LatentSample{Z: z, Label: sm.Label, Domain: req.Domain}
+	}
+	if len(imgs) > 0 {
+		for k, z := range s.cfg.Backbone.ExtractLatents(imgs) {
+			samples[imgAt[k]].Z = z
+		}
 	}
 	t0 := time.Now()
 	if s.cfg.Fleet != nil {
@@ -370,6 +416,8 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.m.observeRequests.Inc()
+	timeout := time.NewTimer(s.cfg.RequestTimeout)
+	defer timeout.Stop()
 	select {
 	case resp := <-or.resp:
 		s.m.observeLatency.ObserveSince(t0)
@@ -381,7 +429,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	case <-r.Context().Done():
 		s.m.timeouts.Inc()
 		writeError(w, http.StatusGatewayTimeout, api.CodeTimeout, "client gave up while queued")
-	case <-time.After(s.cfg.RequestTimeout):
+	case <-timeout.C:
 		s.m.timeouts.Inc()
 		writeError(w, http.StatusGatewayTimeout, api.CodeTimeout, "request timed out in queue")
 	}

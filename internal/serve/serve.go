@@ -9,11 +9,12 @@
 //     concurrent calls and the observe order is a total order — a resumed or
 //     replayed run that feeds the same batches in the same order is
 //     bit-identical.
-//   - Predict requests are micro-batched: the engine coalesces queued
-//     requests for up to Config.BatchWindow (or Config.MaxBatch, whichever
-//     comes first) and answers them with one PredictBatch call. The batched
-//     path is bit-identical to per-sample Predict (the BatchPredictor
-//     contract), so coalescing is invisible to clients.
+//   - Predict requests are micro-batched: the engine takes every queued
+//     request (up to Config.MaxBatch) and, while other predicts are still
+//     being decoded by their handlers, waits up to Config.BatchWindow for
+//     them, then answers the lot with one PredictBatch call. A lone predict
+//     never waits. The batched path is bit-identical to per-sample Predict
+//     (the BatchPredictor contract), so coalescing is invisible to clients.
 //   - Queues are bounded. A full queue sheds the request with 429 +
 //     Retry-After instead of growing without bound; memory stays constant
 //     under overload.
@@ -63,9 +64,10 @@ type Config struct {
 	// (safe concurrently — eval-mode forwards allocate locally) before they
 	// reach the queue.
 	Backbone *mobilenet.Model
-	// BatchWindow is how long the engine waits to coalesce predict requests
-	// into one PredictBatch call (default 2ms; 0 still coalesces whatever is
-	// already queued, without waiting).
+	// BatchWindow is the longest the engine waits for predicts that are
+	// already being decoded, to answer them in the same PredictBatch call
+	// (default 2ms). With none in flight it does not wait at all; 0 still
+	// coalesces whatever is already queued, without waiting.
 	BatchWindow time.Duration
 	// MaxBatch caps one coalesced predict batch (default 64).
 	MaxBatch int
@@ -225,6 +227,11 @@ type Server struct {
 	// ready gates /v1/predict and /v1/observe: false on a standby until
 	// Promote. Servers without Config.Standby start ready.
 	ready atomic.Bool
+
+	// predictsDecoding counts single-learner predict handlers between their
+	// ready check and their enqueue attempt: the company doPredictBatch may
+	// wait for. Fleet mode never touches it.
+	predictsDecoding atomic.Int64
 
 	// replMu guards the replication snapshots. baseSnap anchors the local
 	// log: restoring it and replaying records from baseSnap.Cursor rebuilds
@@ -396,33 +403,29 @@ func (s *Server) onEngine(ctx context.Context, fn func()) error {
 	}
 }
 
-// doPredictBatch answers one coalesced micro-batch. With wait set it
-// collects more requests for up to BatchWindow; during drain it only takes
-// what is already queued.
+// doPredictBatch answers one coalesced micro-batch: first plus everything
+// already queued, up to MaxBatch. With wait set, and while handlers are still
+// decoding predicts, it also waits for those — each arrival re-checks the
+// count — for at most BatchWindow in total. During drain, or with no predict
+// in flight, it only takes what is already queued.
 func (s *Server) doPredictBatch(first *predictReq, wait bool) {
-	reqs := make([]*predictReq, 1, s.cfg.MaxBatch)
-	reqs[0] = first
-	if wait && s.cfg.BatchWindow > 0 && s.cfg.MaxBatch > 1 {
-		timer := time.NewTimer(s.cfg.BatchWindow)
-	collect:
-		for len(reqs) < s.cfg.MaxBatch {
-			select {
-			case r := <-s.predictQ:
-				reqs = append(reqs, r)
-			case <-timer.C:
-				break collect
-			}
+	reqs := append(make([]*predictReq, 0, s.cfg.MaxBatch), first)
+	wait = wait && s.cfg.BatchWindow > 0
+	var timer *time.Timer
+	for {
+		reqs = s.takeQueued(reqs)
+		if !wait || len(reqs) == s.cfg.MaxBatch || s.predictsDecoding.Load() == 0 {
+			break
 		}
-		timer.Stop()
-	} else {
-	drainQ:
-		for len(reqs) < s.cfg.MaxBatch {
-			select {
-			case r := <-s.predictQ:
-				reqs = append(reqs, r)
-			default:
-				break drainQ
-			}
+		if timer == nil {
+			timer = time.NewTimer(s.cfg.BatchWindow)
+			defer timer.Stop()
+		}
+		select {
+		case r := <-s.predictQ:
+			reqs = append(reqs, r)
+		case <-timer.C:
+			wait = false
 		}
 	}
 	s.m.batchSize.Observe(float64(len(reqs)))
@@ -436,6 +439,20 @@ func (s *Server) doPredictBatch(first *predictReq, wait bool) {
 	for i, r := range reqs {
 		r.resp <- predictResp{class: out[i], err: err}
 	}
+}
+
+// takeQueued appends queued predicts to reqs, without blocking, until the
+// queue is empty or the batch holds MaxBatch.
+func (s *Server) takeQueued(reqs []*predictReq) []*predictReq {
+	for len(reqs) < s.cfg.MaxBatch {
+		select {
+		case r := <-s.predictQ:
+			reqs = append(reqs, r)
+		default:
+			return reqs
+		}
+	}
+	return reqs
 }
 
 // safePredict converts a learner panic into an error so the engine survives

@@ -289,6 +289,9 @@ func TestRequestTimeout(t *testing.T) {
 	if w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("stuck request: HTTP %d, want 504", w.Code)
 	}
+	// Release the engine only once the gated handler has given up too: with
+	// its answer and its timeout both ready, its select could pick either.
+	waitFor(t, func() bool { return s.m.timeouts.Value() == 2 })
 	close(l.gate)
 	// The gated request's handler also timed out (only the response is
 	// abandoned; the engine finished the work), and the engine is free again.

@@ -22,6 +22,12 @@ go build ./...
 # failing on time rather than on a test.
 echo '>> go test -race -timeout 30m ./...'
 go test -race -timeout 30m ./...
+# The repo benchmark (bench/) is its own Go module, so the pass above never
+# reaches it: run its unit tests and its one-second smoke of every workload,
+# which checks each emits every BENCHMARK.json metric and answers exactly as
+# the in-process replay does.
+echo '>> (cd bench && go test ./...) (benchmark module: unit tests + workload smoke with the answer gate)'
+(cd bench && go test ./...)
 # Concurrent-scrape gate: every metrics export surface is read while an
 # 8-worker training run mutates the registry (redundant with the full -race
 # pass above, but named here so a failure points straight at the metrics
