@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"chameleon/internal/baselines"
@@ -87,6 +88,49 @@ func BenchmarkFig2(b *testing.B) {
 		last = pts[len(pts)-1].MeanAcc
 	}
 	b.ReportMetric(100*last, "chameleon-max-acc%")
+}
+
+// BenchmarkFrontier regenerates the equal-bytes fp32-vs-int8 frontier
+// (EXPERIMENTS.md) over both Domain-IL streams at test scale with every seed,
+// reports each pair's int8-minus-fp32 accuracy delta, and fails when an int8
+// Chameleon store lands more than 1.0 pt below its fp32 twin on either
+// stream. Budgets sit below the Fig. 2 grid deliberately: the test-scale
+// stream promotes at most ~64 samples into the long-term store, so both
+// arms' capacities must stay inside what the stream can fill, or stale
+// early-domain samples degrade both dtypes alike and the exhibit measures
+// stream length instead of the representation. The latent sets come from
+// exp.BuildLatentSet, the pipeline cmd/chameleon-bench uses.
+func BenchmarkFrontier(b *testing.B) {
+	sc := exp.TestScale()
+	sets := map[string]*cl.LatentSet{}
+	for _, name := range []string{"core50", "openloris"} {
+		set, err := exp.BuildLatentSet(name, sc, exp.DefaultCacheDir(), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sets[name] = set
+	}
+	b.ResetTimer()
+	var res *exp.FrontierResult
+	var err error
+	for i := 0; i < b.N; i++ {
+		res, err = exp.RunFrontier(sets, sc, []int{4, 8}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	var table strings.Builder
+	res.Render(&table)
+	b.Log("\n" + table.String())
+	for _, p := range res.Pairs {
+		for _, ds := range res.Datasets {
+			b.ReportMetric(p.DeltaPts[ds], fmt.Sprintf("%s-%d-%s-delta-pts", p.Method, p.Budget, ds))
+			if p.Method == "chameleon" && p.DeltaPts[ds] < -1.0 {
+				b.Errorf("chameleon-%d on %s: int8 minus fp32 = %+.2f pts, want >= -1.0", p.Budget, ds, p.DeltaPts[ds])
+			}
+		}
+	}
 }
 
 // BenchmarkTable2 regenerates the Table II latency/energy matrix.
@@ -303,7 +347,7 @@ func BenchmarkObserve(b *testing.B) {
 	}
 	parallel.SetWorkers(1)
 	defer parallel.SetWorkers(0)
-	for _, method := range []string{"der", "lwf", "ewcpp", "gss", "er"} {
+	for _, method := range exp.Methods() {
 		b.Run(method, func(b *testing.B) {
 			l, err := exp.NewLearner(exp.MethodSpec{Name: method, Buffer: 40, ST: sc.ChameleonST}, set, sc, 1)
 			if err != nil {

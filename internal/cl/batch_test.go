@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"chameleon/internal/nn"
 	"chameleon/internal/parallel"
 	"chameleon/internal/tensor"
 )
@@ -20,12 +21,19 @@ func (hl batchHeadLearner) PredictBatch(zs []*tensor.Tensor, o []int) { hl.h.Pre
 
 // TestPredictIntoMatchesSerialAcrossWorkers is the batched-evaluation
 // equivalence contract: PredictInto must agree with a per-sample Predict
-// loop, and with itself at every worker count.
+// loop — over the pooled head and over a hand-built head with the same
+// weights but no workspace, which classifies through the allocating forward
+// — and with itself at every worker count.
 func TestPredictIntoMatchesSerialAcrossWorkers(t *testing.T) {
 	defer parallel.SetWorkers(0)
 	set := testEnv(t)
 	h := NewHead(set.Backbone, HeadConfig{Seed: 9})
 	h.TrainCEOn(set.Train[:16])
+	bare := &Head{Net: set.Backbone.Head, Opt: nn.NewSGD(0.01), Classes: h.Classes}
+	bare.Restore(h.Snapshot())
+	if bare.Workspace() != nil {
+		t.Fatal("hand-built head has a workspace before training")
+	}
 	zs := make([]*tensor.Tensor, len(set.Test))
 	for i, s := range set.Test {
 		zs[i] = s.Z
@@ -33,17 +41,15 @@ func TestPredictIntoMatchesSerialAcrossWorkers(t *testing.T) {
 	var ref []int
 	for _, w := range []int{1, 8} {
 		parallel.SetWorkers(w)
-		serial := make([]int, len(zs))
-		for i, z := range zs {
-			serial[i] = h.Predict(z)
-		}
 		batched := make([]int, len(zs))
 		if err := PredictInto(batchHeadLearner{h}, zs, batched); err != nil {
 			t.Fatal(err)
 		}
-		for i := range zs {
-			if serial[i] != batched[i] {
-				t.Fatalf("workers=%d: sample %d serial=%d batched=%d", w, i, serial[i], batched[i])
+		for name, serialHead := range map[string]*Head{"pooled": h, "hand-built": bare} {
+			for i, z := range zs {
+				if got := serialHead.Predict(z); got != batched[i] {
+					t.Fatalf("workers=%d: sample %d %s serial=%d batched=%d", w, i, name, got, batched[i])
+				}
 			}
 		}
 		if ref == nil {

@@ -15,7 +15,7 @@
 //
 // RunConfig composes all five into the full "drive one learner over one
 // stream" configuration used by chameleon-train and chameleon-serve; the
-// narrower binaries (chameleon-bench, chameleon-hw, benchjson) bind subsets.
+// narrower binaries (chameleon-bench, chameleon-hw) bind subsets.
 // Validate must be called after flag.Parse and before any group is used —
 // every accepted value is checked against the canonical sets exported by
 // internal/exp, so a typo fails fast with the allowed spellings instead of

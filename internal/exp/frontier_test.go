@@ -11,7 +11,9 @@ import (
 // TestQuantizedFrontierSizing pins the equal-bytes arithmetic at paper scale:
 // a latent is 8192 scalars, so fp32 stores pay 32768 B/sample and int8 stores
 // 8196 B/sample (payload + one fp32 scale). Chameleon's ST samples ride
-// inside the same budget, which is what pushes its equal-bytes ratio past 4×.
+// inside the same budget, which is what pushes its equal-bytes ratio past 4×
+// — the sample-ratio gate every Chameleon row must clear, including the
+// budgets 4 and 8 that BenchmarkFrontier runs.
 func TestQuantizedFrontierSizing(t *testing.T) {
 	cases := []struct {
 		spec MethodSpec
@@ -21,6 +23,10 @@ func TestQuantizedFrontierSizing(t *testing.T) {
 		{MethodSpec{Name: "chameleon", Buffer: 40, ST: 10}, 189},
 		// chameleon N=20: 30·32768 ÷ 8196 = 119, minus 10.
 		{MethodSpec{Name: "chameleon", Buffer: 20, ST: 10}, 109},
+		// chameleon N=8: 18·32768 ÷ 8196 = 71, minus 10 (7.62×).
+		{MethodSpec{Name: "chameleon", Buffer: 8, ST: 10}, 61},
+		// chameleon N=4: 14·32768 ÷ 8196 = 55, minus 10 (11.25×).
+		{MethodSpec{Name: "chameleon", Buffer: 4, ST: 10}, 45},
 		// plain latent N=40: 40·32768 ÷ 8196 = 159 (always just short of 4×,
 		// because the int8 per-sample scale is pure overhead).
 		{MethodSpec{Name: "latent", Buffer: 40}, 159},
@@ -32,6 +38,9 @@ func TestQuantizedFrontierSizing(t *testing.T) {
 		}
 		if got != tc.want {
 			t.Errorf("%s: int8 samples = %d, want %d", tc.spec.Label(), got, tc.want)
+		}
+		if ratio := float64(got) / float64(tc.spec.Buffer); tc.spec.Name == "chameleon" && ratio < 4 {
+			t.Errorf("%s: int8/fp32 sample ratio = %.2f, want >= 4", tc.spec.Label(), ratio)
 		}
 	}
 	for _, spec := range []MethodSpec{{Name: "er", Buffer: 40}, {Name: "gss", Buffer: 40}} {

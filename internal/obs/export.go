@@ -91,10 +91,9 @@ func (h HistogramValue) Quantile(q float64) float64 {
 	return h.Buckets[len(h.Buckets)-1].UpperBound
 }
 
-// Report is the structured end-of-run snapshot of a registry, the export
-// consumed by cmd/benchjson (and anything else that wants metrics as data
-// rather than as an exposition format). GaugeFuncs are evaluated at snapshot
-// time and land in Gauges.
+// Report is the structured end-of-run snapshot of a registry, the export for
+// anything that wants metrics as data rather than as an exposition format.
+// GaugeFuncs are evaluated at snapshot time and land in Gauges.
 type Report struct {
 	Counters   map[string]int64          `json:"counters,omitempty"`
 	Gauges     map[string]float64        `json:"gauges,omitempty"`

@@ -16,8 +16,7 @@
 //  3. One export path, three formats: Prometheus text exposition
 //     (WritePrometheus / the /metrics endpoint), expvar-compatible JSON
 //     (WriteJSON, the /vars endpoint, and true expvar publication under
-//     /debug/vars), and a structured end-of-run Report consumed by
-//     cmd/benchjson.
+//     /debug/vars), and a structured end-of-run Report.
 //
 // Metric methods are nil-receiver safe: a nil *Counter/*Gauge/*Histogram is a
 // no-op, so optional instrumentation needs no branches at call sites.

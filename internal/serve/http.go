@@ -147,8 +147,11 @@ func (s *Server) payloadFrom(latent []float32, qz []byte, scale float32, image [
 		if len(qz) != want {
 			return nil, nil, fmt.Errorf("latent_int8 has %d elements, want %d (shape %v)", len(qz), want, s.cfg.LatentShape)
 		}
-		if !(scale > 0) || math.IsInf(float64(scale), 0) {
-			return nil, nil, fmt.Errorf("latent_int8 requires a finite positive scale, got %v", scale)
+		// Past MaxFloat32/128 the dequantized ±128·scale overflows to ±Inf,
+		// which would reach the learner (and the observe log) as a poisoned
+		// latent.
+		if !(scale > 0) || float64(scale) > math.MaxFloat32/128 {
+			return nil, nil, fmt.Errorf("latent_int8 requires a positive scale of at most %g (MaxFloat32/128), got %v", float32(math.MaxFloat32/128), scale)
 		}
 		t := tensor.New(s.cfg.LatentShape...)
 		dst := t.Data()

@@ -120,6 +120,7 @@ func TestQuantizedWireObserveDecodesExactly(t *testing.T) {
 
 // TestQuantizedWireRejectsBadPayloads pins the int8 wire validation: length,
 // scale and exactly-one-payload errors all answer 400 before any learner work.
+// A scale past MaxFloat32/128 is rejected too: 127·3e38 dequantizes to +Inf.
 func TestQuantizedWireRejectsBadPayloads(t *testing.T) {
 	s, _ := newProbeServer(t)
 	qz, scale := wireInt8([]float32{1, 2, 3, 4})
@@ -134,7 +135,9 @@ func TestQuantizedWireRejectsBadPayloads(t *testing.T) {
 		{"negative scale", "/v1/predict", PredictRequest{LatentInt8: qz, Scale: -1}},
 		{"fp32 and int8", "/v1/predict", PredictRequest{Latent: latent(4), LatentInt8: qz, Scale: scale}},
 		{"int8 and image", "/v1/predict", PredictRequest{LatentInt8: qz, Scale: scale, Image: latent(12)}},
+		{"overflowing scale", "/v1/predict", PredictRequest{LatentInt8: qz, Scale: 3e38}},
 		{"observe zero scale", "/v1/observe", ObserveRequest{Samples: []ObserveSample{{LatentInt8: qz, Scale: 0, Label: 0}}}},
+		{"observe overflowing scale", "/v1/observe", ObserveRequest{Samples: []ObserveSample{{LatentInt8: qz, Scale: 3e38, Label: 0}}}},
 		{"observe both payloads", "/v1/observe", ObserveRequest{Samples: []ObserveSample{{Latent: latent(4), LatentInt8: qz, Scale: scale, Label: 0}}}},
 	}
 	for _, tc := range cases {
@@ -163,5 +166,10 @@ func TestQuantizedWireFleet(t *testing.T) {
 	w = postJSON(t, s, "/v1/predict", PredictRequest{User: "u1", LatentInt8: qz, Scale: 0})
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("fleet bad scale: HTTP %d, want 400", w.Code)
+	}
+	w = postJSON(t, s, "/v1/observe", ObserveRequest{User: "u1",
+		Samples: []ObserveSample{{LatentInt8: qz, Scale: 3e38, Label: 1}}})
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("fleet overflowing scale: HTTP %d, want 400", w.Code)
 	}
 }

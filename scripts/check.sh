@@ -46,8 +46,11 @@ go test -run TestAllocs -count=1 ./...
 # batched fused fold against the split update at both element widths, the
 # batched loss kernels against the per-sample ones on both tiers, the fp64
 # batched steps (cross-entropy and DER-shaped mixed loss) against the
-# per-sample reference, the dtype-tagged checkpoint wire format, and the
-# fp32-vs-fp64 finetune accuracy parity (full streams).
+# per-sample reference, the dtype-tagged checkpoint wire format, the
+# fp32-vs-fp64 finetune accuracy parity (full streams), and the fp32 train
+# step's ≥1.5× lead over the Ref64 step (TestFP32TrainStepOutrunsRef64, a
+# within-run interleaved min-of-5 ratio at one worker, so it holds on any
+# host; it skips under -race, which is why this non-race pass names it).
 echo '>> go test -run "Test.*64|TestGobDtype|TestFusedStepBitIdentity|TestLossRowKernels|TestPrecisionParity" -count=1 ./internal/tensor/ ./internal/nn/ ./internal/cl/ ./internal/exp/ (precision-tier gate)'
 go test -run 'Test.*64|TestGobDtype|TestFusedStepBitIdentity|TestLossRowKernels|TestPrecisionParity' -count=1 \
 	./internal/tensor/ ./internal/nn/ ./internal/cl/ ./internal/exp/
@@ -59,34 +62,13 @@ go test -run 'Test.*64|TestGobDtype|TestFusedStepBitIdentity|TestLossRowKernels|
 echo '>> go test -run "TestQuantized|TestAllocsQuantized|TestInt8|TestDequantize" -count=1 ./internal/quant/ ./internal/replay/ ./internal/core/ ./internal/baselines/ ./internal/serve/ ./internal/exp/ (quantized-replay gate)'
 go test -run 'TestQuantized|TestAllocsQuantized|TestInt8|TestDequantize' -count=1 -short \
 	./internal/quant/ ./internal/replay/ ./internal/core/ ./internal/baselines/ ./internal/serve/ ./internal/exp/
-# ns/op regression gate: the fp32 train step must hold its lead over the
-# fp64 reference step (≥1.5×) and run allocation-free. The ratio is within-run
-# (interleaved min-of-N), so the gate is machine-independent; the JSON lands
-# in a scratch dir — the published BENCH_pr10.json comes from
-# `make bench-json`, not from here. One worker, like the TestAllocs pins:
-# zero allocations is a single-goroutine property (a sharded kernel's
-# parallel branch allocates its closure), so on a multi-core host the
-# default worker count would fail the gate on every commit.
-gatedir=$(mktemp -d)
-trap 'rm -rf "$gatedir"' EXIT
-echo '>> go run ./cmd/benchjson -quick -check -workers 1 (ns/op regression gate)'
-# (the serve smoke below replaces this trap; it removes $gatedir too)
-go run ./cmd/benchjson -quick -check -workers 1 -out "$gatedir/bench-gate.json"
-# Cross-PR perf drift (informational): diff the two published bench exhibits
-# series by series. Absolute ns/op in checked-in files comes from different
-# runs on possibly different machines, so this warns instead of failing —
-# `make bench-diff` is the hard-mode variant for same-machine comparisons.
-if [ -f BENCH_pr9.json ] && [ -f BENCH_pr10.json ]; then
-	echo '>> go run ./cmd/benchdiff BENCH_pr9.json BENCH_pr10.json (cross-PR drift, informational)'
-	go run ./cmd/benchdiff -warn-only BENCH_pr9.json BENCH_pr10.json
-fi
 # Serving smoke gate: the real chameleon-serve binary (synthetic backbone,
 # int8 replay stores) answers the load generator end to end — one fp32-wire
 # exchange and one quantized-wire (-int8) exchange — then drains cleanly on
 # SIGTERM and leaves a resumable checkpoint behind.
 echo '>> serve smoke: chameleon-serve -replay-int8 + chameleon-loadgen (fp32 + int8 wire) end to end'
 smokedir=$(mktemp -d)
-trap 'kill "$serve_pid" 2>/dev/null || true; rm -rf "$smokedir" "$gatedir"' EXIT
+trap 'kill "$serve_pid" 2>/dev/null || true; rm -rf "$smokedir"' EXIT
 go build -o "$smokedir/chameleon-serve" ./cmd/chameleon-serve
 go build -o "$smokedir/chameleon-loadgen" ./cmd/chameleon-loadgen
 "$smokedir/chameleon-serve" -dataset synthetic -method chameleon -replay-int8 \
@@ -119,7 +101,7 @@ echo '>> fleet smoke: chameleon-serve -fleet-* + Zipf loadgen end to end'
 	-fleet-users 64 -fleet-hot 8 -fleet-shards 2 -fleet-dir "$smokedir/fleet" \
 	>"$smokedir/fleet.log" 2>&1 &
 fleet_pid=$!
-trap 'kill "$serve_pid" "$fleet_pid" 2>/dev/null || true; rm -rf "$smokedir" "$gatedir"' EXIT
+trap 'kill "$serve_pid" "$fleet_pid" 2>/dev/null || true; rm -rf "$smokedir"' EXIT
 for i in $(seq 1 100); do
 	if curl -fsS http://127.0.0.1:18424/healthz >/dev/null 2>&1; then break; fi
 	if ! kill -0 "$fleet_pid" 2>/dev/null; then
@@ -170,7 +152,7 @@ echo '>> failover smoke: primary + warm standby under load, SIGKILL the primary,
 	-addr 127.0.0.1:18425 -wal-dir "$smokedir/wal-primary" \
 	>"$smokedir/primary.log" 2>&1 &
 primary_pid=$!
-trap 'kill "$serve_pid" "$fleet_pid" "$primary_pid" "$standby_pid" 2>/dev/null || true; rm -rf "$smokedir" "$gatedir"' EXIT
+trap 'kill "$serve_pid" "$fleet_pid" "$primary_pid" "$standby_pid" 2>/dev/null || true; rm -rf "$smokedir"' EXIT
 for i in $(seq 1 100); do
 	if curl -fsS http://127.0.0.1:18425/healthz >/dev/null 2>&1; then break; fi
 	if ! kill -0 "$primary_pid" 2>/dev/null; then
