@@ -365,6 +365,54 @@ func BenchmarkObserve(b *testing.B) {
 	}
 }
 
+// BenchmarkNewLearner measures learner construction per method on a single
+// worker: "new" is exp.NewLearnerOn alone, "restore" is NewLearnerOn followed
+// by Restore of a snapshot taken after one pass over the stream — the cost of
+// a fleet fault-in or a checkpointed resume before its first request.
+func BenchmarkNewLearner(b *testing.B) {
+	set := testenv.Env(b, "core50")
+	sc := benchScale()
+	parallel.SetWorkers(1)
+	defer parallel.SetWorkers(0)
+	classes := set.Dataset.Cfg.NumClasses
+	for _, method := range exp.Methods() {
+		spec := exp.MethodSpec{Name: method, Buffer: 40, ST: sc.ChameleonST}
+		b.Run(method+"/new", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := exp.NewLearnerOn(spec, set.Backbone, classes, sc, 1, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(method+"/restore", func(b *testing.B) {
+			l, err := exp.NewLearnerOn(spec, set.Backbone, classes, sc, 1, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			st := set.Stream(1, data.StreamOptions{BatchSize: 10})
+			for bt, ok := st.Next(); ok; bt, ok = st.Next() {
+				l.Observe(bt)
+			}
+			snap, err := cl.Caps(l).Snapshotter.Snapshot()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r, err := exp.NewLearnerOn(spec, set.Backbone, classes, sc, 1, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := cl.Caps(r).Snapshotter.Restore(snap); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSLDAInversion measures the O(d³) kernel Table II punishes.
 func BenchmarkSLDAInversion(b *testing.B) {
 	set := testenv.Env(b, "core50")

@@ -5,7 +5,6 @@ import (
 
 	"chameleon/internal/checkpoint"
 	"chameleon/internal/cl"
-	"chameleon/internal/nn"
 	"chameleon/internal/replay"
 	"chameleon/internal/tensor"
 )
@@ -17,14 +16,18 @@ import (
 // a learner built with the identical Config; all restores validate before
 // mutating and return errors — never panic — on corrupt or mismatched input.
 
-// checkTensors validates a serialized tensor list against reference shapes.
-func checkTensors(what string, ts []*tensor.Tensor, ref []*nn.Param) error {
+// checkTensors validates a serialized tensor list against the snapshot's own
+// head parameters, which SetState then validates against the head. Checking
+// against the state rather than head.Params leaves a restored head's pending
+// init undrawn.
+func checkTensors(what string, ts []*tensor.Tensor, head cl.HeadState) error {
+	ref := head.Params
 	if len(ts) != len(ref) {
 		return fmt.Errorf("baselines: %s has %d tensors, model has %d", what, len(ts), len(ref))
 	}
 	for i, t := range ts {
-		if t == nil || !t.SameShape(ref[i].Data) {
-			return fmt.Errorf("baselines: %s tensor %d does not match shape %v", what, i, ref[i].Data.Shape())
+		if t == nil || ref[i] == nil || !t.SameShape(ref[i]) {
+			return fmt.Errorf("baselines: %s tensor %d does not match the head state", what, i)
 		}
 	}
 	return nil
@@ -242,21 +245,21 @@ type sldaState struct {
 	Counts       []float64
 	Cov          *tensor.Tensor
 	N            float64
-	Inversions   int
-	SinceInv     int
 }
 
-// Snapshot implements cl.Snapshotter. The cached precision Λ is derived state
-// and is not stored; the restored learner recomputes it on first Predict.
+// Snapshot implements cl.Snapshotter. The snapshot is a function of the
+// observed stream alone. The cached precision Λ is derived state and is not
+// stored; the restored learner recomputes it on first Predict. Nor is the
+// inversion count: predicts drive it, so it differs between a serving
+// learner and one rebuilt from its observes. Payloads that still carry it
+// decode with it ignored.
 func (s *SLDA) Snapshot() ([]byte, error) {
 	return checkpoint.Encode(sldaState{
 		Dim: s.dim, Classes: s.classes,
-		Means:      s.means.Clone(),
-		Counts:     append([]float64(nil), s.counts...),
-		Cov:        s.cov.Clone(),
-		N:          s.n,
-		Inversions: s.inversion,
-		SinceInv:   s.sinceInv,
+		Means:  s.means.Clone(),
+		Counts: append([]float64(nil), s.counts...),
+		Cov:    s.cov.Clone(),
+		N:      s.n,
 	})
 }
 
@@ -280,8 +283,6 @@ func (s *SLDA) Restore(data []byte) error {
 	copy(s.counts, st.Counts)
 	s.cov.CopyFrom(st.Cov)
 	s.n = st.N
-	s.inversion = st.Inversions
-	s.sinceInv = st.SinceInv
 	// Λ and the per-class score cache are both derived state: drop them so the
 	// first prediction after resume rebuilds from the restored statistics.
 	s.lambda, s.stale = nil, true
@@ -316,11 +317,10 @@ func (e *EWCPP) Restore(data []byte) error {
 	if err := checkpoint.Decode(data, &st); err != nil {
 		return fmt.Errorf("baselines: decode ewcpp snapshot: %w", err)
 	}
-	ps := e.head.Params()
-	if err := checkTensors("ewcpp fisher", st.Fisher, ps); err != nil {
+	if err := checkTensors("ewcpp fisher", st.Fisher, st.Head); err != nil {
 		return err
 	}
-	if err := checkTensors("ewcpp anchor", st.Anchor, ps); err != nil {
+	if err := checkTensors("ewcpp anchor", st.Anchor, st.Head); err != nil {
 		return err
 	}
 	if err := e.head.SetState(st.Head); err != nil {
@@ -361,7 +361,7 @@ func (l *LwF) Restore(data []byte) error {
 		return fmt.Errorf("baselines: decode lwf snapshot: %w", err)
 	}
 	if st.HasTeacher {
-		if err := checkTensors("lwf teacher", st.Teacher, l.head.Params()); err != nil {
+		if err := checkTensors("lwf teacher", st.Teacher, st.Head); err != nil {
 			return err
 		}
 	}

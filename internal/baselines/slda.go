@@ -211,7 +211,9 @@ func (s *SLDA) PredictBatch(zs []*tensor.Tensor, out []int) {
 	})
 }
 
-// InversionCount reports how many O(d³) inversions have run (hardware cost).
+// InversionCount reports how many O(d³) inversions this instance has run
+// (hardware cost). It is not checkpointed, so it restarts at 0 on a restored
+// learner.
 func (s *SLDA) InversionCount() int { return s.inversion }
 
 // Dim returns the pooled feature dimension (hardware cost input).

@@ -29,7 +29,7 @@ func TestPredictIntoMatchesSerialAcrossWorkers(t *testing.T) {
 	set := testEnv(t)
 	h := NewHead(set.Backbone, HeadConfig{Seed: 9})
 	h.TrainCEOn(set.Train[:16])
-	bare := &Head{Net: set.Backbone.Head, Opt: nn.NewSGD(0.01), Classes: h.Classes}
+	bare := &Head{net: set.Backbone.Head, Opt: nn.NewSGD(0.01), Classes: h.Classes}
 	bare.Restore(h.Snapshot())
 	if bare.Workspace() != nil {
 		t.Fatal("hand-built head has a workspace before training")

@@ -11,23 +11,32 @@ import (
 	"chameleon/internal/tensor"
 )
 
-// Head wraps a freshly initialised trainable head g(·) with its optimizer and
-// exposes the one training protocol the continual learners share: every
-// update packs its samples into one [B, D] matrix, so each Dense layer runs
-// one GEMM per pass (Train, Accumulate). Every learner owns its own Head; the
-// frozen extractor is shared via LatentSet.
+// Head wraps a trainable head g(·) with its optimizer and exposes the one
+// training protocol the continual learners share: every update packs its
+// samples into one [B, D] matrix, so each Dense layer runs one GEMM per pass
+// (Train, Accumulate). Every learner owns its own Head; the frozen extractor
+// is shared via LatentSet.
+//
+// NewHead's initial weights are written on first use: every method that
+// reads or updates them (Net included) runs the pending init first, and
+// SetState, which overwrites every parameter, discards it undrawn. A head
+// restored before first use — a fleet fault-in, a resumed checkpoint — never
+// draws.
 type Head struct {
-	Net *nn.Sequential
+	net *nn.Sequential
 	Opt *nn.SGD
 	// Classes is the logit width.
 	Classes int
+	// init writes the initial weights; nil once they are written or
+	// overwritten.
+	init func()
 	// ws is the head's private tensor pool, threaded through every layer and
 	// the optimizer. It makes the steady-state train step and eval batch
 	// allocation-free. NewHead attaches it; hand-built Heads (struct literals
 	// in tests) get one on their first training step, and evaluate through
 	// allocating paths until then.
 	ws *tensor.Workspace
-	// params caches Net.Params() — the walk allocates, and ZeroGrad/Step run
+	// params caches net.Params() — the walk allocates, and ZeroGrad/Step run
 	// once per online step.
 	params []*nn.Param
 	// scratch and zsBuf are reusable packing scratch for the training step; a
@@ -49,35 +58,55 @@ type HeadConfig struct {
 	Seed int64
 }
 
-// NewHead builds a fresh head matching the backbone's architecture choice.
+// NewHead builds a head matching the backbone's architecture, starting from
+// the head of mobilenet.New with the backbone config and cfg.Seed. Only the
+// head's layers are built; their initial values are drawn on first use, or
+// never if SetState overwrites them first, unless mobilenet.NewHead wrote
+// them already.
 func NewHead(backbone *mobilenet.Model, cfg HeadConfig) *Head {
 	if cfg.LR <= 0 {
 		cfg.LR = 0.01
 	}
 	cfgM := backbone.Cfg
 	cfgM.Seed = cfg.Seed
-	// Rebuild the full model with the head seed, but keep only its head: this
-	// reuses the builder's architecture logic while giving each run an
-	// independent initialisation.
-	fresh, err := mobilenet.New(cfgM)
+	net, init, err := mobilenet.NewHead(cfgM)
 	if err != nil {
 		// The backbone config was already validated at construction; a
 		// failure here is a programming error.
-		panic("cl: rebuilding head from validated config failed: " + err.Error())
+		panic("cl: building head from validated config failed: " + err.Error())
 	}
 	opt := nn.NewSGD(cfg.LR)
 	opt.Momentum = cfg.Momentum
 	opt.WeightDecay = cfg.WeightDecay
-	h := &Head{Net: fresh.Head, Opt: opt, Classes: cfgM.NumClasses}
+	h := &Head{net: net, Opt: opt, Classes: cfgM.NumClasses, init: init}
 	h.attachWorkspace()
-	h.params = h.Net.Params()
+	h.params = net.Params()
+	if init == nil {
+		headInits.Add(1)
+	}
 	return h
+}
+
+// initWeights runs the pending init, if any.
+func (h *Head) initWeights() {
+	if h.init != nil {
+		init := h.init
+		h.init = nil
+		init()
+		headInits.Add(1)
+	}
+}
+
+// Net returns the head's layer chain, with its initial weights written.
+func (h *Head) Net() *nn.Sequential {
+	h.initWeights()
+	return h.net
 }
 
 // attachWorkspace gives the head its private tensor pool.
 func (h *Head) attachWorkspace() {
 	h.ws = tensor.NewWorkspace()
-	nn.AttachWorkspace(h.Net, h.ws)
+	nn.AttachWorkspace(h.net, h.ws)
 	h.Opt.SetWorkspace(h.ws)
 }
 
@@ -86,16 +115,20 @@ func (h *Head) attachWorkspace() {
 // head may touch it.
 func (h *Head) Workspace() *tensor.Workspace { return h.ws }
 
-// cachedParams returns the parameter list, walking the layer tree only once.
-func (h *Head) cachedParams() []*nn.Param {
+// paramList returns the parameter list, walking the layer tree only once. It
+// leaves a pending init pending; Params is the initialising accessor.
+func (h *Head) paramList() []*nn.Param {
 	if h.params == nil {
-		h.params = h.Net.Params()
+		h.params = h.net.Params()
 	}
 	return h.params
 }
 
 // Logits runs the head in eval mode.
-func (h *Head) Logits(z *tensor.Tensor) *tensor.Tensor { return h.Net.Forward(z, false) }
+func (h *Head) Logits(z *tensor.Tensor) *tensor.Tensor {
+	h.initWeights()
+	return h.net.Forward(z, false)
+}
 
 // Predict returns the argmax class.
 func (h *Head) Predict(z *tensor.Tensor) int { return h.Logits(z).ArgMax() }
@@ -112,8 +145,9 @@ func (h *Head) Probs(z *tensor.Tensor) *tensor.Tensor { return tensor.Softmax(h.
 // that sample: the batched kernels preserve the per-sample accumulation
 // order exactly.
 func (h *Head) LogitsBatch(zs []*tensor.Tensor) *tensor.Tensor {
+	h.initWeights()
 	n := len(zs)
-	layers := h.Net.Layers
+	layers := h.net.Layers
 	var x *tensor.Tensor
 	start := 0
 	if len(layers) > 0 && n > 0 {
@@ -171,7 +205,7 @@ func (h *Head) PredictBatch(zs []*tensor.Tensor, out []int) {
 
 // ZeroGrad clears accumulated gradients.
 func (h *Head) ZeroGrad() {
-	for _, p := range h.cachedParams() {
+	for _, p := range h.Params() {
 		p.ZeroGrad()
 	}
 }
@@ -189,7 +223,7 @@ func (h *Head) Train(samples []LatentSample, loss Loss) float64 {
 	defer observeTrainStep(time.Now(), len(samples))
 	h.ZeroGrad()
 	x, start := h.pack(samples)
-	return trainStep(h.Net, h.Opt, h.ws, x, start, loss, &h.scratch) / float64(len(samples))
+	return trainStep(h.net, h.Opt, h.ws, x, start, loss, &h.scratch) / float64(len(samples))
 }
 
 // Accumulate is Train without the update: the batch's summed gradient is
@@ -200,8 +234,9 @@ func (h *Head) Accumulate(samples []LatentSample, loss Loss) float64 {
 	if len(samples) == 0 {
 		return 0
 	}
+	h.initWeights()
 	x, start := h.pack(samples)
-	return trainStep(h.Net, nil, h.ws, x, start, loss, &h.scratch)
+	return trainStep(h.net, nil, h.ws, x, start, loss, &h.scratch)
 }
 
 // TrainCEOn is Train with unit-weight cross-entropy on every sample, the
@@ -218,7 +253,7 @@ func (h *Head) pack(samples []LatentSample) (*tensor.Tensor, int) {
 	if h.ws == nil {
 		h.attachWorkspace()
 	}
-	start := batchStart(h.Net, samples)
+	start := batchStart(h.net, samples)
 	h.scratch.setLabels(samples)
 	n := len(samples)
 	if start == 1 {
@@ -250,13 +285,17 @@ func (h *Head) Step(denom float64) {
 	if denom > 0 && denom != 1 {
 		inv = float32(1 / denom)
 	}
-	for _, p := range h.cachedParams() {
+	for _, p := range h.Params() {
 		h.Opt.FusedStepParam(p, inv)
 	}
 }
 
-// Params returns the head's trainable parameters.
-func (h *Head) Params() []*nn.Param { return h.cachedParams() }
+// Params returns the head's trainable parameters, with their initial values
+// written.
+func (h *Head) Params() []*nn.Param {
+	h.initWeights()
+	return h.paramList()
+}
 
 // Snapshot deep-copies the current parameter values (for LwF teachers, EWC
 // anchors, ...). The returned tensors are ordered like Params.
@@ -290,13 +329,15 @@ type HeadState struct {
 // Unlike Snapshot it includes the optimizer's momentum, which changes the
 // next update — resuming without it would diverge from the uninterrupted run.
 func (h *Head) State() HeadState {
-	return HeadState{Params: h.Snapshot(), Velocity: h.Opt.VelocitySnapshot(h.Net)}
+	return HeadState{Params: h.Snapshot(), Velocity: h.Opt.VelocitySnapshot(h.net)}
 }
 
 // SetState restores state captured by State against an identically shaped
-// head. All shapes are validated before any parameter is touched.
+// head. All shapes are validated before any parameter is touched. It
+// overwrites every parameter and momentum buffer, so a pending init is
+// discarded without drawing.
 func (h *Head) SetState(st HeadState) error {
-	ps := h.Params()
+	ps := h.paramList()
 	if len(st.Params) != len(ps) {
 		return fmt.Errorf("cl: head state has %d param tensors, head has %d", len(st.Params), len(ps))
 	}
@@ -305,12 +346,13 @@ func (h *Head) SetState(st HeadState) error {
 			return fmt.Errorf("cl: head state param %d does not match shape %v", i, p.Data.Shape())
 		}
 	}
-	if err := h.Opt.SetVelocitySnapshot(h.Net, st.Velocity); err != nil {
+	if err := h.Opt.SetVelocitySnapshot(h.net, st.Velocity); err != nil {
 		return err
 	}
 	for i, p := range ps {
 		p.Data.CopyFrom(st.Params[i])
 	}
+	h.init = nil
 	return nil
 }
 

@@ -15,6 +15,9 @@ var (
 	headTrainSamples = obs.Default().Counter("head_train_samples_total")
 	headTrainStep    = obs.Default().Histogram("head_train_step_seconds")
 	headPredictBatch = obs.Default().Histogram("head_predict_batch_seconds")
+	// headInits counts drawn head initialisations; a head restored before
+	// first use never draws.
+	headInits = obs.Default().Counter("cl_head_inits_total")
 )
 
 func observeTrainStep(t0 time.Time, samples int) {

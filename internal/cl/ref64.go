@@ -38,7 +38,7 @@ type Ref64 struct {
 // fresh reference run with the same initialisation. Heads whose net cannot be
 // widened (stateful Dropout) are rejected.
 func NewRef64(h *Head) (*Ref64, error) {
-	wide, err := nn.WidenLayer(h.Net)
+	wide, err := nn.WidenLayer(h.Net())
 	if err != nil {
 		return nil, fmt.Errorf("cl: widening head for the fp64 reference tier: %w", err)
 	}

@@ -61,10 +61,10 @@ func perSampleCE(h *Head, samples []LatentSample) float64 {
 	h.ZeroGrad()
 	var loss float64
 	for _, s := range samples {
-		logits := h.Net.Forward(s.Z, true)
+		logits := h.Net().Forward(s.Z, true)
 		g := tensor.New(logits.Len())
 		loss += nn.CrossEntropyInto(logits, s.Label, g)
-		h.Net.Backward(g)
+		h.Net().Backward(g)
 	}
 	h.Step(float64(len(samples)))
 	return loss / float64(len(samples))
@@ -209,7 +209,7 @@ func TestTrainBatchedHandBuiltHeadGetsWorkspace(t *testing.T) {
 		rng := rand.New(rand.NewSource(42))
 		net := nn.NewSequential("head",
 			nn.NewDense("fc1", 6, 8, rng), nn.NewReLU(), nn.NewDense("fc2", 8, 3, rng))
-		return &Head{Net: net, Opt: nn.NewSGD(0.1), Classes: 3}
+		return &Head{net: net, Opt: nn.NewSGD(0.1), Classes: 3}
 	}
 	hb, hs := build(), build()
 	rng := rand.New(rand.NewSource(7))

@@ -191,6 +191,66 @@ type Model struct {
 // New builds the model described by cfg. It returns an error for invalid
 // configurations (bad latent layer, non-positive sizes).
 func New(cfg Config) (*Model, error) {
+	b, err := walk(cfg, true)
+	if err != nil {
+		return nil, err
+	}
+	b.init()()
+	m := &Model{Cfg: b.cfg, Features: b.feat, Head: b.head}
+	m.LatentShape = b.feat.OutShape([]int{3, b.cfg.Resolution, b.cfg.Resolution})
+	return m, nil
+}
+
+// NewHead builds only the trainable head of New(cfg), with zero weights, and
+// returns init, which writes into it in place exactly the values New(cfg).Head
+// starts from. The frozen stages (and, for HeadMLP, the conv tail New drops)
+// are never allocated: init draws their share of the seed's stream and
+// discards it. A caller that overwrites every parameter before first use can
+// skip init. A head whose initial values include BatchNorm statistics (a
+// NormBatch conv tail), which are not parameters, is written here instead,
+// and init is nil.
+func NewHead(cfg Config) (head *nn.Sequential, init func(), err error) {
+	b, err := walk(cfg, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	init = b.init()
+	if b.bnStats {
+		init()
+		init = nil
+	}
+	return b.head, init, nil
+}
+
+// draw is one contiguous run of the initialisation stream: n normal (std a)
+// or uniform ([a, b)) values written in order into dst, or drawn and
+// discarded when dst is nil.
+type draw struct {
+	dst     *tensor.Tensor
+	n       int
+	uniform bool
+	a, b    float64
+}
+
+// builder is the one walk over the layer table that New and NewHead share.
+// It allocates, with zero weights, only the stages it keeps, and records every
+// initial value as a draw, in the order that defines a seed's stream: each
+// conv's weights then its norm's statistics, stage by stage, then the
+// classifier.
+type builder struct {
+	cfg        Config
+	keepFrozen bool
+	// feat takes the frozen stages; head the conv tail, if kept, and then
+	// the classifier.
+	feat, head *nn.Sequential
+	draws      []draw
+	bnStats    bool // a kept stage's BatchNorm statistics are among the draws
+	stages     int  // conv layers walked so far
+	latC       int  // channels of the latent activation
+}
+
+// walk validates cfg and builds the layers New (keepFrozen) or NewHead keeps.
+func walk(cfg Config, keepFrozen bool) (*builder, error) {
 	if cfg.Width <= 0 {
 		return nil, fmt.Errorf("mobilenet: width %v must be positive", cfg.Width)
 	}
@@ -203,66 +263,107 @@ func New(cfg Config) (*Model, error) {
 	if cfg.LatentLayer < 1 || cfg.LatentLayer >= NumConvLayers {
 		return nil, fmt.Errorf("mobilenet: latent layer %d out of range [1,%d)", cfg.LatentLayer, NumConvLayers)
 	}
+	if cfg.Head != HeadConvTail && cfg.Head != HeadMLP {
+		return nil, fmt.Errorf("mobilenet: unknown head kind %v", cfg.Head)
+	}
 	if cfg.HiddenDim <= 0 {
 		cfg.HiddenDim = 64
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	feat := nn.NewSequential("features")
-	head := nn.NewSequential("head")
-	// appendConv adds a conv (+BN+ReLU6) stage to features or head depending
-	// on whether its conv-layer index is within the frozen range.
-	convIdx := 0
-	addStage := func(conv nn.Layer, c int) {
-		convIdx++
-		var norm nn.Layer
-		switch cfg.Norm {
-		case NormBatch:
-			bn := nn.NewBatchNorm2D(fmt.Sprintf("bn%d", convIdx), c)
-			// Pseudo-pretrained statistics: mild per-channel offsets/scales;
-			// CalibrateBN replaces them with measured values.
-			bn.SetStats(tensor.RandNormal(rng, 0.1, c), tensor.RandUniform(rng, 0.8, 1.2, c))
-			norm = bn
-		default:
-			norm = nn.NewGroupNorm2D(fmt.Sprintf("gn%d", convIdx), c, normGroups(c))
-		}
-		if convIdx <= cfg.LatentLayer {
-			feat.Append(&nn.Frozen{Inner: conv}, &nn.Frozen{Inner: norm}, nn.NewReLU6())
-		} else {
-			head.Append(conv, norm, nn.NewReLU6())
-		}
-	}
+	b := &builder{cfg: cfg, keepFrozen: keepFrozen, feat: nn.NewSequential("features"), head: nn.NewSequential("head")}
 
 	inC := 3
 	stemC := scaleC(32, cfg.Width)
-	addStage(nn.NewConv2D("conv1", inC, stemC, 3, 2, 1, rng), stemC)
+	b.stage(stemC, inC*3*3, func() nn.Layer { return nn.NewConv2D("conv1", inC, stemC, 3, 2, 1, nil) })
 	inC = stemC
-	for b, spec := range v1Blocks {
+	for i, spec := range v1Blocks {
 		outC := scaleC(spec.outC, cfg.Width)
-		addStage(nn.NewDepthwiseConv2D(fmt.Sprintf("dw%d", b+1), inC, 3, spec.stride, 1, rng), inC)
-		addStage(nn.NewConv2D(fmt.Sprintf("pw%d", b+1), inC, outC, 1, 1, 0, rng), outC)
+		b.stage(inC, 3*3, func() nn.Layer {
+			return nn.NewDepthwiseConv2D(fmt.Sprintf("dw%d", i+1), inC, 3, spec.stride, 1, nil)
+		})
+		b.stage(outC, inC, func() nn.Layer { return nn.NewConv2D(fmt.Sprintf("pw%d", i+1), inC, outC, 1, 1, 0, nil) })
 		inC = outC
 	}
 
-	m := &Model{Cfg: cfg, Features: feat}
-	m.LatentShape = feat.OutShape([]int{3, cfg.Resolution, cfg.Resolution})
-	latC := m.LatentShape[0]
-
-	switch cfg.Head {
-	case HeadConvTail:
-		head.Append(nn.NewGlobalAvgPool2D(), nn.NewDense("fc", inC, cfg.NumClasses, rng))
-		m.Head = head
-	case HeadMLP:
-		m.Head = nn.NewSequential("head",
-			nn.NewGlobalAvgPool2D(),
-			nn.NewDense("fc1", latC, cfg.HiddenDim, rng),
-			nn.NewReLU(),
-			nn.NewDense("fc2", cfg.HiddenDim, cfg.NumClasses, rng),
-		)
-	default:
-		return nil, fmt.Errorf("mobilenet: unknown head kind %v", cfg.Head)
+	if cfg.Head == HeadConvTail {
+		fc := nn.NewDense("fc", inC, cfg.NumClasses, nil)
+		b.he(fc, inC)
+		b.head.Append(nn.NewGlobalAvgPool2D(), fc)
+		return b, nil
 	}
-	return m, nil
+	fc1 := nn.NewDense("fc1", b.latC, cfg.HiddenDim, nil)
+	b.he(fc1, b.latC)
+	fc2 := nn.NewDense("fc2", cfg.HiddenDim, cfg.NumClasses, nil)
+	b.he(fc2, cfg.HiddenDim)
+	b.head.Append(nn.NewGlobalAvgPool2D(), fc1, nn.NewReLU(), fc2)
+	return b, nil
+}
+
+// stage walks one conv layer with its norm and ReLU6: c output channels, a
+// weight fan-in of fanIn, and conv to construct it if the stage is kept. A
+// frozen stage goes to the features, a later one to the head's conv tail.
+func (b *builder) stage(c, fanIn int, conv func() nn.Layer) {
+	b.stages++
+	frozen := b.stages <= b.cfg.LatentLayer
+	if b.stages == b.cfg.LatentLayer {
+		b.latC = c
+	}
+	keep := b.keepFrozen
+	if !frozen {
+		keep = b.cfg.Head == HeadConvTail
+	}
+	if !keep {
+		b.draws = append(b.draws, draw{n: c * fanIn})
+		if b.cfg.Norm == NormBatch {
+			b.draws = append(b.draws, draw{n: c}, draw{n: c, uniform: true})
+		}
+		return
+	}
+	l := conv()
+	b.he(l, fanIn)
+	var norm nn.Layer
+	switch b.cfg.Norm {
+	case NormBatch:
+		bn := nn.NewBatchNorm2D(fmt.Sprintf("bn%d", b.stages), c)
+		// Pseudo-pretrained statistics: mild per-channel offsets/scales;
+		// CalibrateBN replaces them with measured values.
+		mean, vari := bn.Stats()
+		b.draws = append(b.draws, draw{dst: mean, n: c, a: 0.1}, draw{dst: vari, n: c, uniform: true, a: 0.8, b: 1.2})
+		b.bnStats = true
+		norm = bn
+	default:
+		norm = nn.NewGroupNorm2D(fmt.Sprintf("gn%d", b.stages), c, normGroups(c))
+	}
+	if frozen {
+		b.feat.Append(&nn.Frozen{Inner: l}, &nn.Frozen{Inner: norm}, nn.NewReLU6())
+	} else {
+		b.head.Append(l, norm, nn.NewReLU6())
+	}
+}
+
+// he records l's He-normal weight draw, as tensor.HeNormal makes it.
+func (b *builder) he(l nn.Layer, fanIn int) {
+	w := l.Params()[0].Data
+	b.draws = append(b.draws, draw{dst: w, n: w.Len(), a: tensor.HeStd(fanIn)})
+}
+
+// init returns the function that replays the recorded draws from a fresh
+// stream of the config's seed.
+func (b *builder) init() func() {
+	seed, draws := b.cfg.Seed, b.draws
+	return func() {
+		rng := rand.New(rand.NewSource(seed))
+		for _, d := range draws {
+			var out []float32
+			if d.dst != nil {
+				out = d.dst.Data()
+			}
+			if d.uniform {
+				tensor.FillUniform(rng, d.a, d.b, d.n, out)
+			} else {
+				tensor.FillNormal(rng, d.a, d.n, out)
+			}
+		}
+	}
 }
 
 // ExtractLatent runs the frozen feature extractor on a [3,R,R] image.

@@ -1,7 +1,10 @@
 package mobilenet
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"chameleon/internal/nn"
@@ -232,5 +235,87 @@ func TestExtractLatentsParallelEquivalence(t *testing.T) {
 				t.Fatalf("latent %d differs at %d: %v vs %v", i, j, got[i].Data()[j], v)
 			}
 		}
+	}
+}
+
+// TestNewHeadMatchesNewHead pins the head-only build: NewHead's layers, once
+// a non-nil init has run, hold bit for bit the parameters and BatchNorm statistics of
+// New(cfg).Head, for both head kinds, both norms, several seeds and the
+// paper-scale config.
+func TestNewHeadMatchesNewHead(t *testing.T) {
+	var cfgs []Config
+	for _, hk := range []HeadKind{HeadMLP, HeadConvTail} {
+		for _, nk := range []NormKind{NormGroup, NormBatch} {
+			for _, seed := range []int64{0, 1, 7, 12345} {
+				cfg := DefaultConfig(10, seed)
+				cfg.Head, cfg.Norm = hk, nk
+				cfgs = append(cfgs, cfg)
+			}
+		}
+	}
+	cfgs = append(cfgs, PaperConfig(50))
+	for _, cfg := range cfgs {
+		name := fmt.Sprintf("%v/%v/seed=%d/width=%v", cfg.Head, cfg.Norm, cfg.Seed, cfg.Width)
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatalf("%s: New: %v", name, err)
+		}
+		head, init, err := NewHead(cfg)
+		if err != nil {
+			t.Fatalf("%s: NewHead: %v", name, err)
+		}
+		// Only a head with BatchNorm statistics comes back already written.
+		if bnTail := cfg.Head == HeadConvTail && cfg.Norm == NormBatch; (init == nil) != bnTail {
+			t.Fatalf("%s: init returned nil = %v, want %v", name, init == nil, bnTail)
+		}
+		if init != nil {
+			init()
+		}
+		want, got := headValues(m.Head), headValues(head)
+		if len(got) != len(want) {
+			t.Fatalf("%s: head has %d value tensors, New's has %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].name != want[i].name || !reflect.DeepEqual(got[i].shape, want[i].shape) {
+				t.Fatalf("%s: tensor %d is %s%v, want %s%v", name, i, got[i].name, got[i].shape, want[i].name, want[i].shape)
+			}
+			for j, v := range want[i].data {
+				if math.Float32bits(got[i].data[j]) != math.Float32bits(v) {
+					t.Fatalf("%s: %s[%d] = %v, want %v", name, want[i].name, j, got[i].data[j], v)
+				}
+			}
+		}
+	}
+}
+
+type headValue struct {
+	name  string
+	shape []int
+	data  []float32
+}
+
+// headValues lists every value a head starts from: its parameters and any
+// BatchNorm running statistics, in layer order.
+func headValues(s *nn.Sequential) []headValue {
+	var out []headValue
+	for _, l := range s.Layers {
+		for _, p := range l.Params() {
+			out = append(out, headValue{p.Name, p.Data.Shape(), p.Data.Data()})
+		}
+		if bn, ok := l.(*nn.BatchNorm2D); ok {
+			mean, vari := bn.Stats()
+			out = append(out,
+				headValue{l.Name() + ".mean", mean.Shape(), mean.Data()},
+				headValue{l.Name() + ".var", vari.Shape(), vari.Data()})
+		}
+	}
+	return out
+}
+
+func TestNewHeadValidation(t *testing.T) {
+	cfg := DefaultConfig(10, 1)
+	cfg.LatentLayer = NumConvLayers
+	if _, _, err := NewHead(cfg); err == nil {
+		t.Fatal("NewHead accepted an out-of-range latent layer")
 	}
 }

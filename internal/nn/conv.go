@@ -34,12 +34,13 @@ type Conv2DOf[T tensor.Float] struct {
 // Conv2D is the fast-tier convolution layer.
 type Conv2D = Conv2DOf[float32]
 
-// NewConv2D creates a fast-tier Conv2D with He-normal weights.
+// NewConv2D creates a fast-tier Conv2D with He-normal weights (zero when rng
+// is nil) and zero bias.
 func NewConv2D(label string, inC, outC, k, stride, pad int, rng *rand.Rand) *Conv2D {
 	fanIn := inC * k * k
 	return &Conv2D{
 		label: label, inC: inC, outC: outC, kh: k, kw: k, stride: stride, pad: pad,
-		w: &Param{Name: label + ".w", Data: tensor.HeNormal(rng, fanIn, outC, fanIn), Grad: tensor.New(outC, fanIn)},
+		w: &Param{Name: label + ".w", Data: heNormal(rng, fanIn, outC, fanIn), Grad: tensor.New(outC, fanIn)},
 		b: &Param{Name: label + ".b", Data: tensor.New(outC), Grad: tensor.New(outC)},
 	}
 }
@@ -171,12 +172,12 @@ type DepthwiseConv2DOf[T tensor.Float] struct {
 type DepthwiseConv2D = DepthwiseConv2DOf[float32]
 
 // NewDepthwiseConv2D creates a fast-tier depthwise convolution with He-normal
-// weights.
+// weights (zero when rng is nil) and zero bias.
 func NewDepthwiseConv2D(label string, channels, k, stride, pad int, rng *rand.Rand) *DepthwiseConv2D {
 	fanIn := k * k
 	return &DepthwiseConv2D{
 		label: label, c: channels, k: k, stride: stride, pad: pad,
-		w: &Param{Name: label + ".w", Data: tensor.HeNormal(rng, fanIn, channels, k, k), Grad: tensor.New(channels, k, k)},
+		w: &Param{Name: label + ".w", Data: heNormal(rng, fanIn, channels, k, k), Grad: tensor.New(channels, k, k)},
 		b: &Param{Name: label + ".b", Data: tensor.New(channels), Grad: tensor.New(channels)},
 	}
 }

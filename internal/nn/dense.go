@@ -27,15 +27,25 @@ type DenseOf[T tensor.Float] struct {
 // Dense is the fast-tier fully connected layer.
 type Dense = DenseOf[float32]
 
-// NewDense creates a fast-tier Dense layer with He-normal weights and zero
-// bias.
+// NewDense creates a fast-tier Dense layer with He-normal weights (zero when
+// rng is nil) and zero bias.
 func NewDense(label string, in, out int, rng *rand.Rand) *Dense {
 	return &Dense{
 		label: label,
-		w:     &Param{Name: label + ".w", Data: tensor.HeNormal(rng, in, out, in), Grad: tensor.New(out, in)},
+		w:     &Param{Name: label + ".w", Data: heNormal(rng, in, out, in), Grad: tensor.New(out, in)},
 		b:     &Param{Name: label + ".b", Data: tensor.New(out), Grad: tensor.New(out)},
 		inCap: in,
 	}
+}
+
+// heNormal is tensor.HeNormal, or a zero tensor when rng is nil: a builder
+// that writes the initial weights later (mobilenet.NewHead) constructs its
+// layers without drawing.
+func heNormal(rng *rand.Rand, fanIn int, shape ...int) *tensor.Tensor {
+	if rng == nil {
+		return tensor.New(shape...)
+	}
+	return tensor.HeNormal(rng, fanIn, shape...)
 }
 
 // Name implements Layer.

@@ -75,23 +75,21 @@ func For(n, grain int, body func(lo, hi int)) {
 	}
 	forCalls.Add(1)
 	s := current.Load()
-	if s.workers <= 1 || n <= grain {
+	// Chunk count: enough to use every worker, but no chunk below grain.
+	chunks := n / grain
+	if chunks > s.workers {
+		chunks = s.workers
+	}
+	if chunks <= 1 {
 		chunksInline.Add(1)
 		body(0, n)
 		return
 	}
-	// Chunk count: enough to use every worker, but never smaller than grain.
-	chunks := (n + grain - 1) / grain
-	if chunks > s.workers {
-		chunks = s.workers
-	}
-	chunk := (n + chunks - 1) / chunks
+	// Chunk i is [i·n/chunks, (i+1)·n/chunks): sizes differ by at most one,
+	// so each holds at least n/chunks ≥ grain indices.
 	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+	for i := 0; i < chunks; i++ {
+		lo, hi := i*n/chunks, (i+1)*n/chunks
 		if hi == n {
 			// Always run the final chunk inline: the caller participates, and
 			// a fully-contended pool degrades to the plain serial loop.

@@ -1,7 +1,10 @@
 package parallel
 
 import (
+	"reflect"
 	"runtime"
+	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -48,6 +51,37 @@ func TestForSerialWhenOneWorker(t *testing.T) {
 	})
 	if last != 99 {
 		t.Fatalf("last index %d, want 99", last)
+	}
+}
+
+// TestForHonoursGrain pins For's chunk-size promise: no chunk is smaller
+// than grain, so a range under two grains runs as one inline call.
+func TestForHonoursGrain(t *testing.T) {
+	defer reset()
+	SetWorkers(4)
+	for _, tc := range []struct {
+		n, grain int
+		want     [][2]int
+	}{
+		{11, 8, [][2]int{{0, 11}}},
+		{16, 8, [][2]int{{0, 8}, {8, 16}}},
+		{100, 30, [][2]int{{0, 33}, {33, 66}, {66, 100}}},
+	} {
+		var mu sync.Mutex
+		var got [][2]int
+		spawned := chunksSpawned.Value()
+		For(tc.n, tc.grain, func(lo, hi int) {
+			mu.Lock()
+			got = append(got, [2]int{lo, hi})
+			mu.Unlock()
+		})
+		sort.Slice(got, func(i, j int) bool { return got[i][0] < got[j][0] })
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("For(%d, %d) ran chunks %v, want %v", tc.n, tc.grain, got, tc.want)
+		}
+		if len(tc.want) == 1 && chunksSpawned.Value() != spawned {
+			t.Errorf("For(%d, %d) spawned a goroutine for its single chunk", tc.n, tc.grain)
+		}
 	}
 }
 
