@@ -26,7 +26,6 @@ import (
 	"chameleon/internal/mobilenet"
 	"chameleon/internal/nn"
 	"chameleon/internal/parallel"
-	"chameleon/internal/quant"
 	"chameleon/internal/tensor"
 	"chameleon/internal/testenv"
 )
@@ -457,20 +456,6 @@ func BenchmarkGroupNormForward(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		gn.Forward(x, false)
-	}
-}
-
-// BenchmarkBFPRoundTrip measures the EdgeTPU datatype encoder on one
-// paper-scale latent.
-func BenchmarkBFPRoundTrip(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	z := tensor.RandNormal(rng, 1, 8192)
-	cfg := quant.DefaultBFP()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := cfg.RoundTripBFP(z); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

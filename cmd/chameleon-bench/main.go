@@ -101,7 +101,7 @@ func main() {
 	if needAccuracy {
 		sets = map[string]*cl.LatentSet{}
 		for _, ds := range cli.Datasets() {
-			set, err := exp.BuildLatentSetOpts(ds, sc, pipeline.CacheDir, progress, pipeline.Options())
+			set, err := exp.BuildLatentSet(ds, sc, pipeline.CacheDir, progress)
 			if err != nil {
 				log.Fatalf("build %s pipeline: %v", ds, err)
 			}

@@ -111,7 +111,7 @@ func main() {
 			log.Fatalf("backbone: %v", err)
 		}
 	} else {
-		set, err := exp.BuildLatentSetOpts(cfg.Dataset, sc, cfg.CacheDir, func(f string, a ...any) { log.Printf(f, a...) }, cfg.Options())
+		set, err := exp.BuildLatentSet(cfg.Dataset, sc, cfg.CacheDir, func(f string, a ...any) { log.Printf(f, a...) })
 		if err != nil {
 			log.Fatalf("pipeline: %v", err)
 		}

@@ -45,7 +45,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	set, err := exp.BuildLatentSetOpts(cfg.Dataset, sc, cfg.CacheDir, func(f string, a ...any) { log.Printf(f, a...) }, cfg.Options())
+	set, err := exp.BuildLatentSet(cfg.Dataset, sc, cfg.CacheDir, func(f string, a ...any) { log.Printf(f, a...) })
 	if err != nil {
 		log.Fatalf("pipeline: %v", err)
 	}

@@ -283,10 +283,9 @@ func (s *SLDA) Restore(data []byte) error {
 	copy(s.counts, st.Counts)
 	s.cov.CopyFrom(st.Cov)
 	s.n = st.N
-	// Λ and the per-class score cache are both derived state: drop them so the
-	// first prediction after resume rebuilds from the restored statistics.
-	s.lambda, s.stale = nil, true
-	s.w, s.scoresStale = nil, true
+	// Λ and the per-class score cache are derived state: mark them stale so
+	// the first prediction after resume rebuilds from the restored statistics.
+	s.stale = true
 	return nil
 }
 

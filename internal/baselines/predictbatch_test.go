@@ -72,13 +72,12 @@ func TestPredictBatchMatchesSerialAllBaselines(t *testing.T) {
 }
 
 // TestSLDAPredictBatchStaleScores exercises the cached-score invalidation
-// path: with RecomputeEvery > 1 the covariance inverse lags the means, and
-// PredictBatch must still agree with Predict after every Observe.
+// path: every Observe moves the means and covariance the cached scores derive
+// from, and PredictBatch must still agree with Predict after every Observe.
 func TestSLDAPredictBatchStaleScores(t *testing.T) {
 	set := env(t)
 	dim := set.Backbone.LatentShape[0]
 	s := NewSLDA(dim, set.Dataset.Cfg.NumClasses, Config{Seed: 41})
-	s.RecomputeEvery = 7
 	st := set.Stream(41, data.StreamOptions{BatchSize: 10})
 	for i := 0; i < 5; i++ {
 		b, ok := st.Next()

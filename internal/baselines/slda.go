@@ -18,46 +18,37 @@ import (
 // paper exploits in Table II; InversionCount exposes how often it ran so the
 // hardware models can charge for it.
 type SLDA struct {
-	// Shrinkage is ε in Λ = ((1−ε)Σ + εI)⁻¹ (default 1e-2).
-	Shrinkage float64
-	// RecomputeEvery controls how often Λ is refreshed, in observed samples.
-	// The reference implementation inverts per prediction; 1 matches the
-	// paper's per-image cost accounting.
-	RecomputeEvery int
-
 	dim     int
 	classes int
 	means   *tensor.Tensor // [classes, dim]
 	counts  []float64
 	cov     *tensor.Tensor // [dim, dim] streaming covariance (scatter/n)
 	n       float64
-	lambda  *tensor.Tensor // cached precision
-	stale   bool
 	// w caches the per-class score weights w_c = Λ μ_c as rows of a
 	// [classes, dim] matrix, with bias_c = −½ μ_cᵀ w_c alongside; wRows holds
 	// per-class views into w so the prediction hot loop allocates nothing.
-	// The cache depends on the *current* means even when the Λ refresh is
-	// skipped (RecomputeEvery > 1), so scoresStale is raised on every Observe
-	// — and by checkpoint restore — not just on inversion.
-	w           *tensor.Tensor
-	wRows       []*tensor.Tensor
-	bias        []float64
-	scoresStale bool
-	inversion   int
-	sinceInv    int
+	// Λ and w depend on the current means and covariance, so stale is raised
+	// on every Observe and by checkpoint restore, and the next prediction
+	// inverts the current covariance.
+	w         *tensor.Tensor
+	wRows     []*tensor.Tensor
+	bias      []float64
+	stale     bool
+	inversion int
 }
+
+// sldaShrinkage is ε in Λ = ((1−ε)Σ + εI)⁻¹.
+const sldaShrinkage = 1e-2
 
 // NewSLDA creates a streaming LDA over pooled latents of the given dimension
 // and class count.
 func NewSLDA(dim, classes int, cfg Config) *SLDA {
 	s := &SLDA{
-		Shrinkage:      1e-2,
-		RecomputeEvery: 1,
-		dim:            dim,
-		classes:        classes,
-		means:          tensor.New(classes, dim),
-		counts:         make([]float64, classes),
-		cov:            tensor.New(dim, dim),
+		dim:     dim,
+		classes: classes,
+		means:   tensor.New(classes, dim),
+		counts:  make([]float64, classes),
+		cov:     tensor.New(dim, dim),
 	}
 	_ = cfg
 	return s
@@ -104,21 +95,13 @@ func (s *SLDA) Observe(b cl.LatentBatch) {
 		}
 		s.counts[c]++
 		s.stale = true
-		s.scoresStale = true
-		s.sinceInv++
 	}
 }
 
-// refresh recomputes the precision matrix if stale.
-func (s *SLDA) refresh() {
-	if !s.stale && s.lambda != nil {
-		return
-	}
-	if s.RecomputeEvery > 1 && s.lambda != nil && s.sinceInv < s.RecomputeEvery {
-		return
-	}
+// precision inverts the shrunk covariance: Λ = ((1−ε)Σ + εI)⁻¹.
+func (s *SLDA) precision() *tensor.Tensor {
 	a := tensor.New(s.dim, s.dim)
-	eps := float32(s.Shrinkage)
+	eps := float32(sldaShrinkage)
 	for i := 0; i < s.dim; i++ {
 		for j := 0; j < s.dim; j++ {
 			v := (1 - eps) * s.cov.Data()[i*s.dim+j]
@@ -137,23 +120,20 @@ func (s *SLDA) refresh() {
 			inv.Data()[i*s.dim+i] = 1
 		}
 	}
-	s.lambda = inv
 	s.inversion++
-	s.sinceInv = 0
-	s.stale = false
+	return inv
 }
 
-// ensureScores refreshes Λ if due, then rebuilds the cached per-class weight
-// rows and biases when anything they depend on moved. The expensive part of
-// the old per-Predict loop (w_c = Λ μ_c per class, per call) now runs once per
-// Observe→Predict transition instead of once per prediction; the resulting
-// scores are bit-identical because the same MatVecInto/Dot kernels produce the
-// same values, and IEEE a − 0.5b equals a + (−0.5·b) exactly.
+// ensureScores rebuilds Λ and the cached per-class weight rows and biases
+// when anything they depend on moved, so w_c = Λ μ_c runs once per
+// Observe→Predict transition rather than once per prediction. The scores are
+// bit-identical to per-prediction scoring: the same MatVecInto/Dot kernels
+// produce the same values, and IEEE a − 0.5b equals a + (−0.5·b) exactly.
 func (s *SLDA) ensureScores() {
-	s.refresh()
-	if !s.scoresStale && s.w != nil {
+	if !s.stale && s.w != nil {
 		return
 	}
+	lambda := s.precision()
 	if s.w == nil {
 		s.w = tensor.New(s.classes, s.dim)
 		s.wRows = make([]*tensor.Tensor, s.classes)
@@ -167,10 +147,10 @@ func (s *SLDA) ensureScores() {
 			continue
 		}
 		mu := s.means.Row(c)
-		tensor.MatVecInto(s.wRows[c], s.lambda, mu)
+		tensor.MatVecInto(s.wRows[c], lambda, mu)
 		s.bias[c] = -0.5 * tensor.Dot(mu, s.wRows[c])
 	}
-	s.scoresStale = false
+	s.stale = false
 }
 
 // classify scores one pooled feature against the cached weights.

@@ -59,7 +59,7 @@ func stripImages(in []data.Sample) []data.Sample {
 // LoadLatentSet reads a set written by SaveLatentSet. The backbone model is
 // rebuilt from its config for structural queries (latent shape, head
 // construction); its feature weights are NOT restored, so until the caller
-// copies the pretrained features in (exp.BuildLatentSetOpts does), the
+// copies the pretrained features in (exp.BuildLatentSet does), the
 // backbone extracts new images through random features.
 func LoadLatentSet(path string) (*LatentSet, error) {
 	f, err := os.Open(path)

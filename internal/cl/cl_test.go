@@ -290,11 +290,3 @@ func TestMultiSeedProducesSpread(t *testing.T) {
 		t.Fatalf("mean acc = %v", s.MeanAcc)
 	}
 }
-
-func TestSortedClasses(t *testing.T) {
-	pool := []LatentSample{{Label: 3}, {Label: 1}, {Label: 3}}
-	got := SortedClasses(pool)
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("SortedClasses = %v", got)
-	}
-}

@@ -135,38 +135,6 @@ func NewLatentSet(m *mobilenet.Model, ds *data.Dataset) (*LatentSet, error) {
 	return ls, nil
 }
 
-// NewLatentSetInt8 is NewLatentSet with the backbone's im2col convolutions
-// quantised to int8 (mobilenet.Int8Extractor): the latents carry the integer
-// path's quantisation error, while Backbone keeps the full-precision model
-// for head construction. Heads train on whatever latents the set holds, so
-// downstream accuracy measures the deployment effect of integer extraction.
-func NewLatentSetInt8(m *mobilenet.Model, ds *data.Dataset) (*LatentSet, error) {
-	if m.Cfg.Resolution != ds.Cfg.Resolution {
-		return nil, fmt.Errorf("cl: backbone resolution %d != dataset resolution %d", m.Cfg.Resolution, ds.Cfg.Resolution)
-	}
-	if m.Cfg.NumClasses < ds.Cfg.NumClasses {
-		return nil, fmt.Errorf("cl: backbone has %d classes, dataset needs %d", m.Cfg.NumClasses, ds.Cfg.NumClasses)
-	}
-	e := m.NewInt8Extractor()
-	ls := &LatentSet{Backbone: m, Dataset: ds}
-	ls.Train = extractPoolInt8(e, ds.Train)
-	ls.Test = extractPoolInt8(e, ds.Test)
-	return ls, nil
-}
-
-// extractPoolInt8 is extractPool through the integer extractor; the same
-// sharding argument applies (mutation-free forward, one output slot per
-// sample), so results are worker-count independent.
-func extractPoolInt8(e *mobilenet.Int8Extractor, pool []data.Sample) []LatentSample {
-	out := make([]LatentSample, len(pool))
-	parallel.For(len(pool), 1, func(lo, hi int) {
-		for _, sm := range pool[lo:hi] {
-			out[sm.ID] = LatentSample{Z: e.ExtractLatent(sm.Image), Label: sm.Label, Domain: sm.Domain, ID: sm.ID}
-		}
-	})
-	return out
-}
-
 // extractPool runs the frozen extractor over a sample pool, sharding samples
 // across the worker pool. The backbone is shared read-only: eval-mode Forward
 // allocates all activations locally and caches nothing (see nn's Layer

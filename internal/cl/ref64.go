@@ -35,8 +35,8 @@ type Ref64 struct {
 // NewRef64 widens a fast-tier head into an independent float64 learner. The
 // widened net starts from bit-exact copies of the head's current weights (an
 // fp32 value is exactly representable in fp64), so a fresh head yields a
-// fresh reference run with the same initialisation. Heads whose net cannot be
-// widened (stateful Dropout) are rejected.
+// fresh reference run with the same initialisation. Heads whose net holds a
+// layer type WidenLayer does not know are rejected.
 func NewRef64(h *Head) (*Ref64, error) {
 	wide, err := nn.WidenLayer(h.Net())
 	if err != nil {

@@ -3,7 +3,6 @@ package cl
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"chameleon/internal/data"
 	"chameleon/internal/tensor"
@@ -175,18 +174,4 @@ func MultiSeed(set *LatentSet, opts data.StreamOptions, newLearner func(seed int
 		panic("cl: checkpoint-free multi-seed run failed: " + err.Error())
 	}
 	return s
-}
-
-// SortedClasses returns the class indices present in a latent pool, sorted.
-func SortedClasses(pool []LatentSample) []int {
-	seen := map[int]bool{}
-	for _, s := range pool {
-		seen[s.Label] = true
-	}
-	var out []int
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -93,14 +93,6 @@ type Pipeline struct {
 	ScaleName string
 	// CacheDir caches backbones and latents ("" disables).
 	CacheDir string
-	// BackboneInt8 extracts latents through the integer backbone path
-	// (per-channel int8 weights, per-tensor int8 activations, int32 GEMM).
-	BackboneInt8 bool
-}
-
-// Options returns the exp pipeline options this group selects.
-func (p Pipeline) Options() exp.PipelineOptions {
-	return exp.PipelineOptions{Int8Backbone: p.BackboneInt8}
 }
 
 // Bind registers the group's flags on fs; defScale is the binary's default
@@ -108,7 +100,6 @@ func (p Pipeline) Options() exp.PipelineOptions {
 func (p *Pipeline) Bind(fs *flag.FlagSet, defScale string) {
 	fs.StringVar(&p.ScaleName, "scale", defScale, "scale tier: test|small")
 	fs.StringVar(&p.CacheDir, "cache", exp.DefaultCacheDir(), "latent cache directory ('' disables)")
-	fs.BoolVar(&p.BackboneInt8, "backbone-int8", false, "quantise the frozen backbone's im2col convolutions to int8 for latent extraction")
 }
 
 // Validate checks the tier name.

@@ -283,21 +283,6 @@ func (s *ShortTermStore) requantize(i int, src *tensor.Tensor) {
 	quant.DequantizeInt8(s.items[i].Z.Data(), s.qz[i], s.scales[i])
 }
 
-// Remove deletes the stored sample at index i (used when promoting to the
-// long-term store would otherwise duplicate it; the paper keeps the sample,
-// so Chameleon calls this only in ablation variants).
-func (s *ShortTermStore) Remove(i int) {
-	last := len(s.items) - 1
-	s.items[i] = s.items[last]
-	s.items = s.items[:last]
-	if s.quantized {
-		s.qz[i] = s.qz[last]
-		s.qz = s.qz[:last]
-		s.scales[i] = s.scales[last]
-		s.scales = s.scales[:last]
-	}
-}
-
 // sampleIndex draws an index from a (possibly unnormalised) distribution.
 // Non-finite or negative weights are treated as zero mass: a NaN entry used
 // to make the normalizer NaN, so `z <= 0` evaluated false, r = rng·NaN was

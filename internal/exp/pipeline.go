@@ -24,19 +24,6 @@ import (
 // configs), because every method and seed shares the same frozen features.
 // Pass cacheDir = "" to disable caching.
 func BuildLatentSet(datasetName string, sc Scale, cacheDir string, verbose func(format string, args ...any)) (*cl.LatentSet, error) {
-	return BuildLatentSetOpts(datasetName, sc, cacheDir, verbose, PipelineOptions{})
-}
-
-// PipelineOptions selects pipeline variants that change the produced latents
-// (and therefore the cache key).
-type PipelineOptions struct {
-	// Int8Backbone extracts latents through the integer backbone path
-	// (mobilenet.Int8Extractor) instead of the fp32 extractor.
-	Int8Backbone bool
-}
-
-// BuildLatentSetOpts is BuildLatentSet with explicit pipeline options.
-func BuildLatentSetOpts(datasetName string, sc Scale, cacheDir string, verbose func(format string, args ...any), opts PipelineOptions) (*cl.LatentSet, error) {
 	if verbose == nil {
 		verbose = func(string, ...any) {}
 	}
@@ -45,10 +32,6 @@ func BuildLatentSetOpts(datasetName string, sc Scale, cacheDir string, verbose f
 		return nil, fmt.Errorf("exp: unknown dataset %q (want core50 or openloris)", datasetName)
 	}
 	key := cacheKey(datasetName, sc)
-	if opts.Int8Backbone {
-		// Distinct cache entries: int8 latents are numerically different.
-		key += "-int8"
-	}
 	cachePath := ""
 	if cacheDir != "" {
 		if err := os.MkdirAll(cacheDir, 0o755); err != nil {
@@ -97,13 +80,7 @@ func BuildLatentSetOpts(datasetName string, sc Scale, cacheDir string, verbose f
 
 	// 4. Extraction.
 	verbose("extracting latents for %d train + %d test frames...", ds.NumTrain(), ds.NumTest())
-	var set *cl.LatentSet
-	if opts.Int8Backbone {
-		verbose("backbone convolutions quantised to int8 (per-channel weights, per-tensor activations)")
-		set, err = cl.NewLatentSetInt8(m, ds)
-	} else {
-		set, err = cl.NewLatentSet(m, ds)
-	}
+	set, err := cl.NewLatentSet(m, ds)
 	if err != nil {
 		return nil, fmt.Errorf("exp: extract: %w", err)
 	}

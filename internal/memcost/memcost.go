@@ -33,8 +33,8 @@ const (
 
 // Dtype identifies the element type a latent store persists. The accounting
 // used to charge every latent store 4 bytes/element unconditionally, which
-// overstates the int8 backbone path (-backbone-int8) 4×: its latents are
-// int8 elements plus one fp32 per-tensor scale.
+// overstates the int8 replay store (-replay-int8) 4×: its latents are int8
+// elements plus one fp32 per-tensor scale.
 type Dtype string
 
 // Latent store datatypes.

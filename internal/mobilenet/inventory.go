@@ -58,9 +58,6 @@ type LayerInfo struct {
 	Frozen bool
 }
 
-// FLOPs returns 2·MACs, the conventional FLOP count.
-func (l LayerInfo) FLOPs() int64 { return 2 * l.MACs }
-
 // Inventory computes the per-layer geometry/cost table of cfg analytically
 // (no tensors are allocated). The final entry is the classifier Dense layer.
 func Inventory(cfg Config) []LayerInfo {

@@ -390,56 +390,6 @@ func (m *Model) ExtractLatents(imgs []*tensor.Tensor) []*tensor.Tensor {
 	return out
 }
 
-// Int8Extractor is the frozen feature extractor with its im2col convolutions
-// (the stem and every pointwise conv — the bulk of the backbone's MACs)
-// quantised to int8. Depthwise convolutions, normalisation and activations
-// stay in float32, the usual mixed-precision deployment split: they are a
-// thin slice of the arithmetic and the per-channel stencils gain little from
-// integer math. Like the fp32 extractor it is mutation-free, so one instance
-// serves concurrent extraction workers.
-type Int8Extractor struct {
-	steps       []int8Step
-	LatentShape []int
-}
-
-// int8Step is one extractor stage: a quantised conv or a passthrough fp32
-// layer.
-type int8Step struct {
-	conv  *nn.Int8Conv2D
-	layer nn.Layer
-}
-
-// NewInt8Extractor quantises the model's frozen features. The model is read
-// at construction; later weight changes (there are none — the extractor is
-// frozen) would not be reflected.
-func (m *Model) NewInt8Extractor() *Int8Extractor {
-	e := &Int8Extractor{LatentShape: m.LatentShape}
-	for _, l := range m.Features.Layers {
-		inner := l
-		if f, ok := l.(*nn.Frozen); ok {
-			inner = f.Inner
-		}
-		if c, ok := inner.(*nn.Conv2D); ok {
-			e.steps = append(e.steps, int8Step{conv: nn.NewInt8Conv2D(c)})
-			continue
-		}
-		e.steps = append(e.steps, int8Step{layer: l})
-	}
-	return e
-}
-
-// ExtractLatent runs the integer extractor on a [3,R,R] image.
-func (e *Int8Extractor) ExtractLatent(x *tensor.Tensor) *tensor.Tensor {
-	for _, s := range e.steps {
-		if s.conv != nil {
-			x = s.conv.Forward(x)
-		} else {
-			x = s.layer.Forward(x, false)
-		}
-	}
-	return x
-}
-
 // Logits runs the trainable head on a latent tensor in eval mode.
 func (m *Model) Logits(latent *tensor.Tensor) *tensor.Tensor {
 	return m.Head.Forward(latent, false)

@@ -20,27 +20,14 @@ type PretrainConfig struct {
 	Momentum float64
 	// BatchSize is the gradient-accumulation size.
 	BatchSize int
-	// GradClip caps each parameter's gradient L2 norm per step (default 5);
-	// deep plain CNNs occasionally spike early in training and collapse to
-	// the trivial constant-logit optimum without it.
-	GradClip float64
-	// RecalibrateEachEpoch refreshes BN statistics at epoch boundaries so
-	// normalisation tracks the evolving weights.
-	RecalibrateEachEpoch bool
-	// CalibrationSize caps how many pool images feed each BN calibration.
-	CalibrationSize int
-	// Seed drives shuffling.
+	// Seed drives shuffling and the BN calibration draw.
 	Seed int64
 }
 
-// DefaultPretrain returns a configuration adequate for the laptop-scale
-// backbones used in the experiments.
-func DefaultPretrain(seed int64) PretrainConfig {
-	return PretrainConfig{
-		Epochs: 4, LR: 0.05, Momentum: 0.9, BatchSize: 8,
-		RecalibrateEachEpoch: true, CalibrationSize: 64, Seed: seed,
-	}
-}
+// pretrainGradClip caps each parameter's gradient L2 norm per step; deep
+// plain CNNs occasionally spike early in training and collapse to the
+// trivial constant-logit optimum without it.
+const pretrainGradClip = 5
 
 // allParams returns the model's trainable AND frozen parameters (unwrapping
 // Frozen), for the pretraining phase only.
@@ -79,27 +66,17 @@ func (m *Model) Pretrain(images []*tensor.Tensor, labels []int, cfg PretrainConf
 			return 0, fmt.Errorf("mobilenet: pretrain label %d out of range at %d", y, i)
 		}
 	}
-	if cfg.GradClip <= 0 {
-		cfg.GradClip = 5
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	params := m.allParams()
 	opt := nn.NewSGD(cfg.LR)
 	opt.Momentum = cfg.Momentum
-	opt.GradClip = cfg.GradClip
+	opt.GradClip = pretrainGradClip
 
-	calibrate := func() error {
-		n := cfg.CalibrationSize
-		if n <= 0 || n > len(images) {
-			n = len(images)
-		}
-		sub := make([]*tensor.Tensor, n)
-		for i := 0; i < n; i++ {
-			sub[i] = images[rng.Intn(len(images))]
-		}
-		return m.CalibrateBN(sub)
+	sub := make([]*tensor.Tensor, len(images))
+	for i := range sub {
+		sub[i] = images[rng.Intn(len(images))]
 	}
-	if err := calibrate(); err != nil {
+	if err := m.CalibrateBN(sub); err != nil {
 		return 0, err
 	}
 
@@ -139,11 +116,6 @@ func (m *Model) Pretrain(images []*tensor.Tensor, labels []int, cfg PretrainConf
 			steps++
 		}
 		lastLoss = epochLoss / float64(steps)
-		if cfg.RecalibrateEachEpoch {
-			if err := calibrate(); err != nil {
-				return 0, err
-			}
-		}
 	}
 	return lastLoss, nil
 }

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math/rand"
-
-	"chameleon/internal/tensor"
-)
+import "chameleon/internal/tensor"
 
 // ReLUOf applies max(0, x). With a positive Cap it becomes ReLU-N (e.g.
 // ReLU6, MobileNet's activation).
@@ -94,75 +90,3 @@ func (r *ReLUOf[T]) Params() []*ParamOf[T] { return nil }
 
 // OutShape implements Layer.
 func (r *ReLUOf[T]) OutShape(in []int) []int { return in }
-
-// DropoutOf zeroes activations with probability P during training and scales
-// survivors by 1/(1-P) (inverted dropout). In eval mode it is the identity.
-type DropoutOf[T tensor.Float] struct {
-	P    float64
-	rng  *rand.Rand
-	keep []T
-	// y and gx are train-path output buffers, reused across steps (training is
-	// single-owner by the Layer contract; eval Forward returns x untouched).
-	y, gx *tensor.Of[T]
-}
-
-// Dropout is the fast-tier dropout layer.
-type Dropout = DropoutOf[float32]
-
-// NewDropout creates a fast-tier Dropout layer with its own deterministic RNG
-// stream.
-func NewDropout(p float64, seed int64) *Dropout {
-	return &Dropout{P: p, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Name implements Layer.
-func (d *DropoutOf[T]) Name() string { return "dropout" }
-
-// Forward implements Layer.
-func (d *DropoutOf[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T] {
-	if !train || d.P <= 0 {
-		return x
-	}
-	if d.y == nil || !d.y.SameShape(x) {
-		d.y = tensor.NewOf[T](x.Shape()...)
-	}
-	y := d.y
-	y.CopyFrom(x)
-	if cap(d.keep) < y.Len() {
-		d.keep = make([]T, y.Len())
-	}
-	d.keep = d.keep[:y.Len()]
-	scale := T(1 / (1 - d.P))
-	for i := range y.Data() {
-		if d.rng.Float64() < d.P {
-			d.keep[i] = 0
-			y.Data()[i] = 0
-		} else {
-			d.keep[i] = scale
-			y.Data()[i] *= scale
-		}
-	}
-	return y
-}
-
-// Backward implements Layer.
-func (d *DropoutOf[T]) Backward(grad *tensor.Of[T]) *tensor.Of[T] {
-	if d.P <= 0 || len(d.keep) == 0 {
-		return grad
-	}
-	if d.gx == nil || !d.gx.SameShape(grad) {
-		d.gx = tensor.NewOf[T](grad.Shape()...)
-	}
-	g := d.gx
-	g.CopyFrom(grad)
-	for i := range g.Data() {
-		g.Data()[i] *= d.keep[i]
-	}
-	return g
-}
-
-// Params implements Layer.
-func (d *DropoutOf[T]) Params() []*ParamOf[T] { return nil }
-
-// OutShape implements Layer.
-func (d *DropoutOf[T]) OutShape(in []int) []int { return in }

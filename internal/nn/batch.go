@@ -112,8 +112,3 @@ func (r *ReLUOf[T]) ForwardBatch(x *tensor.Of[T], ws *tensor.WorkspaceOf[T]) *te
 	}
 	return x
 }
-
-// ForwardBatch implements BatchLayer: dropout is the identity in eval mode.
-func (d *DropoutOf[T]) ForwardBatch(x *tensor.Of[T], ws *tensor.WorkspaceOf[T]) *tensor.Of[T] {
-	return x
-}

@@ -24,9 +24,7 @@ import (
 // instead.
 type TrainBatchLayerOf[T tensor.Float] interface {
 	// ForwardBatchTrain is the train-mode batched forward: like ForwardBatch
-	// but caching the layer's backward inputs (activations, masks, dropout
-	// draws). Dropout consumes its RNG stream in row-major sample order, the
-	// same draw sequence as N per-sample train Forwards.
+	// but caching the layer's backward inputs (activations, masks).
 	ForwardBatchTrain(x *tensor.Of[T], ws *tensor.WorkspaceOf[T]) *tensor.Of[T]
 	// BackwardBatch accumulates parameter gradients for the whole batch and
 	// returns the input gradient matrix (same in-place-or-fresh protocol).
@@ -328,69 +326,4 @@ func (r *ReLUOf[T]) BackwardBatch(grad *tensor.Of[T], needInput bool, ws *tensor
 // BackwardSGDBatch implements TrainBatchLayer: no parameters, just the mask.
 func (r *ReLUOf[T]) BackwardSGDBatch(grad *tensor.Of[T], opt *SGDOf[T], invScale T, needInput bool, ws *tensor.WorkspaceOf[T]) *tensor.Of[T] {
 	return r.BackwardBatch(grad, needInput, ws)
-}
-
-// ForwardBatchTrain implements TrainBatchLayer: inverted dropout in place over
-// the batch matrix. The RNG draws row-major — sample 0's elements first —
-// which is the exact draw sequence of per-sample train Forwards, so a batched
-// step consumes the dropout stream identically to the loop it replaces.
-func (d *DropoutOf[T]) ForwardBatchTrain(x *tensor.Of[T], ws *tensor.WorkspaceOf[T]) *tensor.Of[T] {
-	if d.P <= 0 {
-		return x
-	}
-	data := x.Data()
-	if cap(d.keep) < len(data) {
-		d.keep = make([]T, len(data))
-	}
-	d.keep = d.keep[:len(data)]
-	scale := T(1 / (1 - d.P))
-	for i := range data {
-		if d.rng.Float64() < d.P {
-			d.keep[i] = 0
-			data[i] = 0
-		} else {
-			d.keep[i] = scale
-			data[i] *= scale
-		}
-	}
-	return x
-}
-
-// BackwardBatch implements TrainBatchLayer: the kept-mask scale in place.
-func (d *DropoutOf[T]) BackwardBatch(grad *tensor.Of[T], needInput bool, ws *tensor.WorkspaceOf[T]) *tensor.Of[T] {
-	if d.P <= 0 || len(d.keep) == 0 {
-		return grad
-	}
-	data := grad.Data()
-	for i := range data {
-		data[i] *= d.keep[i]
-	}
-	return grad
-}
-
-// BackwardSGDBatch implements TrainBatchLayer: no parameters, just the scale.
-func (d *DropoutOf[T]) BackwardSGDBatch(grad *tensor.Of[T], opt *SGDOf[T], invScale T, needInput bool, ws *tensor.WorkspaceOf[T]) *tensor.Of[T] {
-	return d.BackwardBatch(grad, needInput, ws)
-}
-
-// ForwardBatch implements BatchLayer: a packed batch matrix already holds one
-// flat sample per row, so the reshape is the identity.
-func (f *FlattenOf[T]) ForwardBatch(x *tensor.Of[T], ws *tensor.WorkspaceOf[T]) *tensor.Of[T] {
-	return x
-}
-
-// ForwardBatchTrain implements TrainBatchLayer: identity on packed rows.
-func (f *FlattenOf[T]) ForwardBatchTrain(x *tensor.Of[T], ws *tensor.WorkspaceOf[T]) *tensor.Of[T] {
-	return x
-}
-
-// BackwardBatch implements TrainBatchLayer: identity (the gradient matrix
-// already has one row per sample).
-func (f *FlattenOf[T]) BackwardBatch(grad *tensor.Of[T], needInput bool, ws *tensor.WorkspaceOf[T]) *tensor.Of[T] {
-	return grad
-}
-
-// BackwardSGDBatch implements TrainBatchLayer: no parameters, identity.
-func (f *FlattenOf[T]) BackwardSGDBatch(grad *tensor.Of[T], opt *SGDOf[T], invScale T, needInput bool, ws *tensor.WorkspaceOf[T]) *tensor.Of[T] {
-	return f.BackwardBatch(grad, needInput, ws)
 }

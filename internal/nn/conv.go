@@ -51,16 +51,6 @@ func (c *Conv2DOf[T]) Name() string { return c.label }
 // SetWorkspace implements WorkspaceUser.
 func (c *Conv2DOf[T]) SetWorkspace(ws *tensor.WorkspaceOf[T]) { c.ws = ws }
 
-// Weights exposes the [outC, inC*KH*KW] weight matrix and [outC] bias (live
-// tensors; read-only for callers). The int8 extraction path quantizes these.
-func (c *Conv2DOf[T]) Weights() (w, b *tensor.Of[T]) { return c.w.Data, c.b.Data }
-
-// Geometry returns the convolution hyperparameters (inC, outC, k, stride,
-// pad); kernels are square by construction.
-func (c *Conv2DOf[T]) Geometry() (inC, outC, k, stride, pad int) {
-	return c.inC, c.outC, c.kh, c.stride, c.pad
-}
-
 // Forward implements Layer for a [inC,H,W] input, producing [outC,OH,OW].
 func (c *Conv2DOf[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T] {
 	if x.NDim() != 3 || x.Dim(0) != c.inC {

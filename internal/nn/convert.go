@@ -11,11 +11,6 @@ import (
 // widened, gradients start zeroed, and no scratch state is shared with the
 // source. The widened tree is an independent model — training it never
 // touches the original.
-//
-// Dropout with P > 0 is rejected: its RNG stream is part of the layer's
-// training behaviour and cannot be duplicated into an equivalent independent
-// copy (the two trees would need to consume the same random sequence to stay
-// comparable).
 func WidenLayer(l Layer) (LayerOf[float64], error) {
 	switch v := l.(type) {
 	case *Sequential:
@@ -67,15 +62,8 @@ func WidenLayer(l Layer) (LayerOf[float64], error) {
 		}, nil
 	case *ReLU:
 		return &ReLUOf[float64]{Cap: float64(v.Cap)}, nil
-	case *Dropout:
-		if v.P > 0 {
-			return nil, fmt.Errorf("nn: cannot widen Dropout(p=%g): its RNG stream is not duplicable", v.P)
-		}
-		return &DropoutOf[float64]{}, nil
 	case *GlobalAvgPool2D:
 		return &GlobalAvgPool2DOf[float64]{}, nil
-	case *Flatten:
-		return &FlattenOf[float64]{}, nil
 	default:
 		return nil, fmt.Errorf("nn: cannot widen layer type %T (%s)", l, l.Name())
 	}

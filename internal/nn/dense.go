@@ -51,9 +51,6 @@ func heNormal(rng *rand.Rand, fanIn int, shape ...int) *tensor.Tensor {
 // Name implements Layer.
 func (d *DenseOf[T]) Name() string { return d.label }
 
-// In returns the input width.
-func (d *DenseOf[T]) In() int { return d.inCap }
-
 // Out returns the output width.
 func (d *DenseOf[T]) Out() int { return d.w.Data.Dim(0) }
 
@@ -158,42 +155,3 @@ func (d *DenseOf[T]) Params() []*ParamOf[T] { return []*ParamOf[T]{d.w, d.b} }
 
 // OutShape implements Layer.
 func (d *DenseOf[T]) OutShape(in []int) []int { return []int{d.Out()} }
-
-// FlattenOf reshapes any input to 1-D. It has no parameters.
-type FlattenOf[T tensor.Float] struct {
-	inShape []int
-}
-
-// Flatten is the fast-tier reshape layer.
-type Flatten = FlattenOf[float32]
-
-// NewFlatten creates a fast-tier Flatten layer.
-func NewFlatten() *Flatten { return &Flatten{} }
-
-// Name implements Layer.
-func (f *FlattenOf[T]) Name() string { return "flatten" }
-
-// Forward implements Layer.
-func (f *FlattenOf[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T] {
-	if train {
-		f.inShape = append(f.inShape[:0], x.Shape()...)
-	}
-	return x.Reshape(x.Len())
-}
-
-// Backward implements Layer.
-func (f *FlattenOf[T]) Backward(grad *tensor.Of[T]) *tensor.Of[T] {
-	return grad.Reshape(f.inShape...)
-}
-
-// Params implements Layer.
-func (f *FlattenOf[T]) Params() []*ParamOf[T] { return nil }
-
-// OutShape implements Layer.
-func (f *FlattenOf[T]) OutShape(in []int) []int {
-	n := 1
-	for _, d := range in {
-		n *= d
-	}
-	return []int{n}
-}

@@ -14,11 +14,7 @@
 // built by widening a float32 net with WidenLayer (see convert.go).
 package nn
 
-import (
-	"fmt"
-
-	"chameleon/internal/tensor"
-)
+import "chameleon/internal/tensor"
 
 // ParamOf is a trainable parameter with its accumulated gradient.
 type ParamOf[T tensor.Float] struct {
@@ -46,7 +42,7 @@ type LayerOf[T tensor.Float] interface {
 	// Name returns a short human-readable identifier.
 	Name() string
 	// Forward runs the layer. train selects training behaviour (caching of
-	// intermediates; dropout etc. if applicable).
+	// intermediates).
 	Forward(x *tensor.Of[T], train bool) *tensor.Of[T]
 	// Backward back-propagates grad through the most recent training Forward.
 	Backward(grad *tensor.Of[T]) *tensor.Of[T]
@@ -143,10 +139,7 @@ func (s *SequentialOf[T]) OutShape(in []int) []int {
 func (s *SequentialOf[T]) Append(layers ...LayerOf[T]) { s.Layers = append(s.Layers, layers...) }
 
 // NumParams returns the total scalar parameter count.
-func NumParams(l Layer) int { return NumParamsOf(l) }
-
-// NumParamsOf is NumParams for any precision tier.
-func NumParamsOf[T tensor.Float](l LayerOf[T]) int {
+func NumParams(l Layer) int {
 	n := 0
 	for _, p := range l.Params() {
 		n += p.Numel()
@@ -155,30 +148,8 @@ func NumParamsOf[T tensor.Float](l LayerOf[T]) int {
 }
 
 // ZeroGrads clears all parameter gradients of a layer tree.
-func ZeroGrads(l Layer) { ZeroGradsOf(l) }
-
-// ZeroGradsOf is ZeroGrads for any precision tier.
-func ZeroGradsOf[T tensor.Float](l LayerOf[T]) {
+func ZeroGrads(l Layer) {
 	for _, p := range l.Params() {
 		p.ZeroGrad()
 	}
-}
-
-// CopyParams copies parameter data from src to dst. The two layer trees must
-// have identical parameter structure.
-func CopyParams(dst, src Layer) error { return CopyParamsOf(dst, src) }
-
-// CopyParamsOf is CopyParams for any precision tier.
-func CopyParamsOf[T tensor.Float](dst, src LayerOf[T]) error {
-	dp, sp := dst.Params(), src.Params()
-	if len(dp) != len(sp) {
-		return fmt.Errorf("nn: parameter count mismatch %d vs %d", len(dp), len(sp))
-	}
-	for i := range dp {
-		if dp[i].Data.Len() != sp[i].Data.Len() {
-			return fmt.Errorf("nn: parameter %q size mismatch", dp[i].Name)
-		}
-		dp[i].Data.CopyFrom(sp[i].Data)
-	}
-	return nil
 }

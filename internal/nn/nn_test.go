@@ -152,49 +152,6 @@ func TestReLUForwardBackward(t *testing.T) {
 	}
 }
 
-func TestFlattenRoundTrip(t *testing.T) {
-	f := NewFlatten()
-	x := tensor.RandNormal(rand.New(rand.NewSource(6)), 1, 2, 3, 4)
-	y := f.Forward(x, true)
-	if y.NDim() != 1 || y.Len() != 24 {
-		t.Fatalf("flatten shape %v", y.Shape())
-	}
-	g := f.Backward(y)
-	if g.NDim() != 3 || g.Dim(2) != 4 {
-		t.Fatalf("flatten backward shape %v", g.Shape())
-	}
-}
-
-func TestDropoutEvalIdentityAndTrainScaling(t *testing.T) {
-	d := NewDropout(0.5, 42)
-	x := tensor.Full(1, 1000)
-	if y := d.Forward(x, false); y != x {
-		t.Fatal("eval-mode dropout should be identity (same tensor)")
-	}
-	y := d.Forward(x, true)
-	var sum float64
-	zeros := 0
-	for _, v := range y.Data() {
-		if v == 0 {
-			zeros++
-		}
-		sum += float64(v)
-	}
-	if zeros < 400 || zeros > 600 {
-		t.Fatalf("dropout zeroed %d of 1000 at p=0.5", zeros)
-	}
-	if sum < 800 || sum > 1200 {
-		t.Fatalf("inverted dropout should preserve expectation, sum=%v", sum)
-	}
-	// Backward zeroes the same coordinates.
-	g := d.Backward(tensor.Full(1, 1000))
-	for i, v := range g.Data() {
-		if (v == 0) != (y.Data()[i] == 0) {
-			t.Fatal("dropout backward mask mismatch")
-		}
-	}
-}
-
 func TestFrozenHidesParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	d := NewDense("fc", 3, 2, rng)
@@ -364,23 +321,5 @@ func TestSGDGradClip(t *testing.T) {
 	opt.StepParam(p)
 	if math.Abs(float64(p.Data.At(0))+3) > 1e-4 || math.Abs(float64(p.Data.At(1))+4) > 1e-4 {
 		t.Fatalf("clip update wrong: %v", p.Data.Data())
-	}
-}
-
-func TestCopyParams(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	a := NewDense("a", 3, 2, rng)
-	b := NewDense("b", 3, 2, rng)
-	if err := CopyParams(b, a); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range a.w.Data.Data() {
-		if b.w.Data.Data()[i] != v {
-			t.Fatal("CopyParams did not copy weights")
-		}
-	}
-	c := NewDense("c", 4, 2, rng)
-	if err := CopyParams(c, a); err == nil {
-		t.Fatal("expected size-mismatch error")
 	}
 }

@@ -53,44 +53,6 @@ type HistogramValue struct {
 	Buckets []Bucket `json:"buckets"`
 }
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the cumulative buckets,
-// Prometheus histogram_quantile style: the target rank is located in its
-// bucket and the value linearly interpolated across the bucket's bound span.
-// Ranks that land in the +Inf overflow bucket report the last finite bound (a
-// lower bound on the true value). Returns 0 for an empty histogram.
-func (h HistogramValue) Quantile(q float64) float64 {
-	if h.Count == 0 || len(h.Buckets) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	rank := q * float64(h.Count)
-	for i, b := range h.Buckets {
-		if float64(b.Count) < rank {
-			continue
-		}
-		if math.IsInf(b.UpperBound, 1) {
-			if i == 0 {
-				return 0
-			}
-			return h.Buckets[i-1].UpperBound
-		}
-		lo, loCount := 0.0, int64(0)
-		if i > 0 {
-			lo, loCount = h.Buckets[i-1].UpperBound, h.Buckets[i-1].Count
-		}
-		inBucket := float64(b.Count - loCount)
-		if inBucket <= 0 {
-			return b.UpperBound
-		}
-		return lo + (b.UpperBound-lo)*(rank-float64(loCount))/inBucket
-	}
-	return h.Buckets[len(h.Buckets)-1].UpperBound
-}
-
 // Report is the structured end-of-run snapshot of a registry, the export for
 // anything that wants metrics as data rather than as an exposition format.
 // GaugeFuncs are evaluated at snapshot time and land in Gauges.

@@ -265,32 +265,3 @@ func TestAllocsHotPath(t *testing.T) {
 		t.Fatalf("hot-path instrumentation allocates %.0f times/op, want 0", got)
 	}
 }
-
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("q_test_seconds", 0.1, 0.2, 0.4, 0.8)
-	// 10 observations in (0.1, 0.2], 10 in (0.2, 0.4].
-	for i := 0; i < 10; i++ {
-		h.Observe(0.15)
-		h.Observe(0.3)
-	}
-	v := r.Report().Histograms["q_test_seconds"]
-	if p50 := v.Quantile(0.5); p50 < 0.1 || p50 > 0.2 {
-		t.Fatalf("p50 = %v, want within (0.1, 0.2]", p50)
-	}
-	if p99 := v.Quantile(0.99); p99 < 0.2 || p99 > 0.4 {
-		t.Fatalf("p99 = %v, want within (0.2, 0.4]", p99)
-	}
-	if q0 := v.Quantile(0); q0 > 0.1 {
-		t.Fatalf("q0 = %v, want <= first bound", q0)
-	}
-	// Overflow bucket: the estimate degrades to the last finite bound.
-	h.Observe(100)
-	v = r.Report().Histograms["q_test_seconds"]
-	if q1 := v.Quantile(1); q1 != 0.8 {
-		t.Fatalf("q1 with overflow = %v, want last finite bound 0.8", q1)
-	}
-	if (HistogramValue{}).Quantile(0.5) != 0 {
-		t.Fatal("empty histogram quantile should be 0")
-	}
-}

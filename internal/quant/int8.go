@@ -1,15 +1,8 @@
+// Package quant is the symmetric int8 codec behind the quantized replay
+// stores (-replay-int8) and the latent_int8 wire form: one fp32 scale per
+// tensor, q = round(v/s) with s = maxAbs/127, and no zero point, so zero
+// round-trips exactly.
 package quant
-
-import "chameleon/internal/tensor"
-
-// Symmetric int8 quantisation and the int32-accumulating GEMM beneath the
-// optional integer backbone-extraction path (-backbone-int8). The scheme is
-// the standard edge-inference one: weights are quantised per output channel
-// (each row of the im2col weight matrix gets its own scale, which costs
-// nothing at dequantisation time and roughly halves the error of a single
-// per-tensor scale), activations per tensor, and the product is accumulated
-// in int32 — 128×128 with a depth in the tens of thousands stays far inside
-// int32 range (127·127·k < 2³¹ for k up to ~130k).
 
 // MaxAbs32 returns the largest absolute value in data (0 for empty input).
 func MaxAbs32(data []float32) float32 {
@@ -62,159 +55,9 @@ func roundInt8(v float32) int8 {
 	return int8(v)
 }
 
-// QuantizeInt8Rows quantises each row of a [rows, cols] matrix independently
-// (per-output-channel weight quantisation), writing into q and returning one
-// scale per row.
-func QuantizeInt8Rows(q []int8, data []float32, rows, cols int) []float32 {
-	scales := make([]float32, rows)
-	for r := 0; r < rows; r++ {
-		scales[r] = QuantizeInt8(q[r*cols:(r+1)*cols], data[r*cols:(r+1)*cols])
-	}
-	return scales
-}
-
 // DequantizeInt8 writes float32(q[i])*scale into dst.
 func DequantizeInt8(dst []float32, q []int8, scale float32) {
 	for i, v := range q {
 		dst[i] = float32(v) * scale
 	}
-}
-
-// QuantizeUint8Affine quantises data with the affine uint8 scheme
-// (q = round(v/s) + z), returning the scale s and zero point z such that
-// (int32(q[i])-z)·s ≈ data[i]. Activations feeding a conv are typically
-// post-ReLU and non-negative, where the affine scheme keeps the full 8-bit
-// resolution the symmetric scheme would halve. A constant input round-trips
-// exactly.
-func QuantizeUint8Affine(q []uint8, data []float32) (scale float32, zero int32) {
-	if len(data) == 0 {
-		return 1, 0
-	}
-	min, max := data[0], data[0]
-	for _, v := range data[1:] {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	switch {
-	case min == max && min == 0:
-		for i := range q {
-			q[i] = 0
-		}
-		return 1, 0
-	case min == max:
-		// Degenerate constant plane: map it to one exact code.
-		scale = absf32(min) / 255
-		zero = clampU8(int32(roundf32(-min / scale)))
-	default:
-		scale = (max - min) / 255
-		zero = clampU8(int32(roundf32(-min / scale)))
-	}
-	inv := 1 / scale
-	for i, v := range data {
-		q[i] = uint8(clampU8(int32(roundf32(v*inv)) + zero))
-	}
-	return scale, zero
-}
-
-func absf32(v float32) float32 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-func roundf32(v float32) float32 {
-	if v >= 0 {
-		return float32(int32(v + 0.5))
-	}
-	return float32(int32(v - 0.5))
-}
-
-func clampU8(v int32) int32 {
-	if v < 0 {
-		return 0
-	}
-	if v > 255 {
-		return 255
-	}
-	return v
-}
-
-// Int8GEMMZPInto computes dst[m,n] = w[m,k] @ (a[k,n] - za) with int32
-// accumulation, where w is symmetric int8 (no zero point) and a is affine
-// uint8 with zero point za. The zero-point term factors out of the inner
-// loop: Σ_p w·(a-za) = Σ_p w·a − za·Σ_p w, so the caller passes the
-// precomputed per-row weight sums and the kernel stays a plain integer GEMM
-// with one scalar correction per output.
-func Int8GEMMZPInto(dst []int32, w []int8, a []uint8, wRowSum []int32, m, k, n int, za int32) {
-	for i := 0; i < m; i++ {
-		di := dst[i*n : (i+1)*n]
-		base := -za * wRowSum[i]
-		for j := range di {
-			di[j] = base
-		}
-		wi := w[i*k : (i+1)*k]
-		for p, wv := range wi {
-			if wv == 0 {
-				continue
-			}
-			w32 := int32(wv)
-			ap := a[p*n : (p+1)*n]
-			for j, av := range ap {
-				di[j] += w32 * int32(av)
-			}
-		}
-	}
-}
-
-// Int8RowSums returns the per-row sums of a [rows, cols] int8 matrix (the
-// zero-point correction term of Int8GEMMZPInto).
-func Int8RowSums(w []int8, rows, cols int) []int32 {
-	sums := make([]int32, rows)
-	for r := 0; r < rows; r++ {
-		var s int32
-		for _, v := range w[r*cols : (r+1)*cols] {
-			s += int32(v)
-		}
-		sums[r] = s
-	}
-	return sums
-}
-
-// Int8GEMMInto computes dst[m,n] = a[m,k] @ b[k,n] with int32 accumulation,
-// overwriting dst. The loop is the same ikj order as the float GEMM: the
-// inner loop streams contiguously over one row of b and one row of dst, so
-// the integer path keeps the float path's cache behaviour.
-func Int8GEMMInto(dst []int32, a, b []int8, m, k, n int) {
-	for i := range dst[:m*n] {
-		dst[i] = 0
-	}
-	for i := 0; i < m; i++ {
-		ai := a[i*k : (i+1)*k]
-		di := dst[i*n : (i+1)*n]
-		for p, av := range ai {
-			if av == 0 {
-				continue
-			}
-			a32 := int32(av)
-			bp := b[p*n : (p+1)*n]
-			for j, bv := range bp {
-				di[j] += a32 * int32(bv)
-			}
-		}
-	}
-}
-
-// RoundTripInt8 quantises t symmetrically to int8 and back in place — the
-// measurement hook for the error the integer path introduces, mirroring
-// RoundTripFP16.
-func RoundTripInt8(t *tensor.Tensor) {
-	d := t.Data()
-	q := make([]int8, len(d))
-	s := QuantizeInt8(q, d)
-	DequantizeInt8(d, q, s)
 }

@@ -37,6 +37,19 @@ func TestQuantizeInt8RoundTrip(t *testing.T) {
 	}
 }
 
+// TestRoundTripInt8Tensor pins the exact round-trip of a constant tensor
+// through QuantizeInt8/DequantizeInt8, written back in place.
+func TestRoundTripInt8Tensor(t *testing.T) {
+	z := tensor.Full(1.5, 64)
+	q := make([]int8, z.Len())
+	DequantizeInt8(z.Data(), q, QuantizeInt8(q, z.Data()))
+	for i, v := range z.Data() {
+		if v != 1.5 {
+			t.Fatalf("constant tensor round-trip not exact: element %d = %g", i, v)
+		}
+	}
+}
+
 // TestQuantizeInt8AllZero pins the degenerate case: scale 1, all-zero codes.
 func TestQuantizeInt8AllZero(t *testing.T) {
 	q := make([]int8, 4)
@@ -47,134 +60,5 @@ func TestQuantizeInt8AllZero(t *testing.T) {
 		if v != 0 {
 			t.Fatalf("all-zero input produced code %d", v)
 		}
-	}
-}
-
-// TestQuantizeInt8Rows pins per-row independence: scaling one row must not
-// change another row's codes.
-func TestQuantizeInt8Rows(t *testing.T) {
-	const rows, cols = 3, 8
-	data := make([]float32, rows*cols)
-	rng := rand.New(rand.NewSource(2))
-	for i := range data {
-		data[i] = float32(rng.NormFloat64())
-	}
-	q := make([]int8, len(data))
-	scales := QuantizeInt8Rows(q, data, rows, cols)
-
-	boosted := append([]float32(nil), data...)
-	for j := 0; j < cols; j++ {
-		boosted[2*cols+j] *= 100 // only row 2 changes
-	}
-	q2 := make([]int8, len(data))
-	scales2 := QuantizeInt8Rows(q2, boosted, rows, cols)
-	for r := 0; r < 2; r++ {
-		if scales[r] != scales2[r] {
-			t.Fatalf("row %d scale changed (%g -> %g) when only row 2 was scaled", r, scales[r], scales2[r])
-		}
-		for j := 0; j < cols; j++ {
-			if q[r*cols+j] != q2[r*cols+j] {
-				t.Fatalf("row %d code %d changed when only row 2 was scaled", r, j)
-			}
-		}
-	}
-	if want := scales[2] * 100; math.Abs(float64(scales2[2]-want))/float64(want) > 1e-5 {
-		t.Fatalf("row 2 scale %g, want ~%g", scales2[2], want)
-	}
-}
-
-// TestQuantizeUint8Affine pins the affine scheme: non-negative inputs keep
-// full 8-bit resolution (error ≤ half a step of range/255), and a constant
-// plane round-trips exactly.
-func TestQuantizeUint8Affine(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	data := make([]float32, 500)
-	for i := range data {
-		data[i] = float32(rng.Float64()) * 6 // post-ReLU6-like range
-	}
-	q := make([]uint8, len(data))
-	s, z := QuantizeUint8Affine(q, data)
-	half := s / 2 * 1.0001
-	for i, v := range data {
-		back := float32(int32(q[i])-z) * s
-		if d := float32(math.Abs(float64(back - v))); d > half {
-			t.Fatalf("element %d: |%g - %g| = %g exceeds half-step %g", i, back, v, d, half)
-		}
-	}
-
-	c := make([]uint8, 3)
-	s, z = QuantizeUint8Affine(c, []float32{1.5, 1.5, 1.5})
-	for _, qc := range c {
-		if got := float32(int32(qc)-z) * s; math.Abs(float64(got-1.5)) > 1e-6 {
-			t.Fatalf("constant plane round-trip: %g, want 1.5", got)
-		}
-	}
-}
-
-// TestInt8GEMMZPMatchesReference checks the zero-point GEMM exactly against
-// a naive (a-z) integer reference.
-func TestInt8GEMMZPMatchesReference(t *testing.T) {
-	const m, k, n = 4, 13, 7
-	rng := rand.New(rand.NewSource(5))
-	w := make([]int8, m*k)
-	a := make([]uint8, k*n)
-	for i := range w {
-		w[i] = int8(rng.Intn(255) - 127)
-	}
-	for i := range a {
-		a[i] = uint8(rng.Intn(256))
-	}
-	w[5] = 0
-	const za = 131
-	got := make([]int32, m*n)
-	Int8GEMMZPInto(got, w, a, Int8RowSums(w, m, k), m, k, n, za)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			var want int32
-			for p := 0; p < k; p++ {
-				want += int32(w[i*k+p]) * (int32(a[p*n+j]) - za)
-			}
-			if got[i*n+j] != want {
-				t.Fatalf("gemm[%d,%d] = %d, want %d", i, j, got[i*n+j], want)
-			}
-		}
-	}
-}
-
-// TestInt8GEMMMatchesInteger checks the int32-accumulating GEMM exactly
-// against a naive integer reference.
-func TestInt8GEMMMatchesInteger(t *testing.T) {
-	const m, k, n = 5, 17, 9
-	rng := rand.New(rand.NewSource(3))
-	a := make([]int8, m*k)
-	b := make([]int8, k*n)
-	for i := range a {
-		a[i] = int8(rng.Intn(255) - 127)
-	}
-	for i := range b {
-		b[i] = int8(rng.Intn(255) - 127)
-	}
-	a[3] = 0 // exercise the zero-skip path
-	got := make([]int32, m*n)
-	Int8GEMMInto(got, a, b, m, k, n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			var want int32
-			for p := 0; p < k; p++ {
-				want += int32(a[i*k+p]) * int32(b[p*n+j])
-			}
-			if got[i*n+j] != want {
-				t.Fatalf("gemm[%d,%d] = %d, want %d", i, j, got[i*n+j], want)
-			}
-		}
-	}
-}
-
-// TestRoundTripInt8Tensor pins the in-place measurement hook.
-func TestRoundTripInt8Tensor(t *testing.T) {
-	z := tensor.Full(1.5, 64)
-	RoundTripInt8(z)
-	if z.At(0) != 1.5 {
-		t.Fatalf("constant tensor round-trip not exact: %g", z.At(0))
 	}
 }

@@ -190,40 +190,14 @@ func TestQuantizedClassBalancedLifecycle(t *testing.T) {
 	}
 }
 
-// TestQuantizedRingFIFO pins the ring variant: pushes encode, Items decodes.
-func TestQuantizedRingFIFO(t *testing.T) {
-	src := rand.New(rand.NewSource(8))
-	r := NewRing(3)
-	if err := r.EnableInt8(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		r.Push(zItem(src, i, 6))
-	}
-	items := r.Items()
-	if len(items) != 3 {
-		t.Fatalf("len %d", len(items))
-	}
-	for i, it := range items {
-		if it.Z == nil || it.Quantized() {
-			t.Fatalf("ring item %d not decoded", i)
-		}
-	}
-}
-
 // TestQuantizedEnableInt8RequiresEmpty pins the enable-before-use contract on
-// all three stores.
+// both stores.
 func TestQuantizedEnableInt8RequiresEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	r := NewReservoir(2, rand.New(rand.NewSource(1)))
 	r.Offer(zItem(rng, 0, 4))
 	if err := r.EnableInt8(); err == nil {
 		t.Fatal("EnableInt8 accepted a non-empty reservoir")
-	}
-	g := NewRing(2)
-	g.Push(zItem(rng, 0, 4))
-	if err := g.EnableInt8(); err == nil {
-		t.Fatal("EnableInt8 accepted a non-empty ring")
 	}
 	b := NewClassBalanced(2, rand.New(rand.NewSource(1)))
 	b.Insert(zItem(rng, 0, 4))

@@ -16,6 +16,4 @@ var (
 	balancedHits    = obs.Default().Counter("replay_classbalanced_replacements_total")
 	balancedEvicts  = obs.Default().Counter("replay_classbalanced_evictions_total")
 	samplesDrawn    = obs.Default().Counter("replay_samples_drawn_total")
-	ringPushes      = obs.Default().Counter("replay_ring_pushes_total")
-	ringEvicts      = obs.Default().Counter("replay_ring_evictions_total")
 )

@@ -1,6 +1,6 @@
 // Package replay provides the buffer primitives the continual-learning
-// methods are built from: a FIFO ring, a reservoir-sampling buffer (ER/DER),
-// and a class-balanced buffer (Chameleon's long-term store).
+// methods are built from: a reservoir-sampling buffer (ER/DER) and a
+// class-balanced buffer (Chameleon's long-term store).
 package replay
 
 import (
@@ -184,70 +184,6 @@ func (r *Reservoir) SetState(items []Item, seen int) error {
 	return nil
 }
 
-// Ring is a fixed-capacity FIFO buffer.
-type Ring struct {
-	cap   int
-	items []Item
-	next  int
-	codec *Int8Codec
-}
-
-// NewRing creates a FIFO buffer with the given capacity.
-func NewRing(capacity int) *Ring {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("replay: ring capacity %d must be positive", capacity))
-	}
-	return &Ring{cap: capacity, items: make([]Item, 0, capacity)}
-}
-
-// EnableInt8 switches the ring to quantized storage; it must be called while
-// the ring is still empty.
-func (r *Ring) EnableInt8() error {
-	if len(r.items) > 0 {
-		return fmt.Errorf("replay: EnableInt8 on a non-empty ring (%d items)", len(r.items))
-	}
-	r.codec = NewInt8Codec()
-	return nil
-}
-
-// Quantized reports whether the ring stores int8 latents.
-func (r *Ring) Quantized() bool { return r.codec != nil }
-
-// Push inserts an item, evicting the oldest when full.
-func (r *Ring) Push(it Item) {
-	ringPushes.Add(1)
-	if len(r.items) < r.cap {
-		if r.codec != nil {
-			it = r.codec.Encode(it, nil)
-		}
-		r.items = append(r.items, it)
-		return
-	}
-	if r.codec != nil {
-		it = r.codec.Encode(it, r.items[r.next].QZ)
-	}
-	r.items[r.next] = it
-	r.next = (r.next + 1) % r.cap
-	ringEvicts.Add(1)
-}
-
-// Items returns a copy of the current contents in arbitrary order. Like
-// Reservoir.Items, this used to alias the live backing slice; a copy keeps
-// caller-side mutation from rewriting the FIFO's history. Quantized rings
-// return dequantized copies.
-func (r *Ring) Items() []Item {
-	out := append([]Item(nil), r.items...)
-	if r.codec != nil {
-		for i := range out {
-			out[i] = r.codec.DecodeAlloc(out[i])
-		}
-	}
-	return out
-}
-
-// Len returns the current fill.
-func (r *Ring) Len() int { return len(r.items) }
-
 // ClassBalanced keeps an equal per-class share of a global capacity. It
 // backs Chameleon's long-term store and any class-stratified baseline.
 type ClassBalanced struct {
@@ -327,7 +263,7 @@ func (b *ClassBalanced) classesInto(dst []int) []int {
 
 // OfClass returns a copy of one class's items, in insertion order. It used
 // to return the live per-class backing slice — the same aliasing bug
-// Reservoir.Items and Ring.Items had: a caller writing through the returned
+// Reservoir.Items had: a caller writing through the returned
 // slice rewrote stored records behind the buffer's back. Quantized stores
 // return the raw int8 records; decode the ones you touch with Dequantized.
 func (b *ClassBalanced) OfClass(c int) []Item {

@@ -182,25 +182,6 @@ func TestReservoirSample(t *testing.T) {
 	}
 }
 
-func TestRingFIFO(t *testing.T) {
-	r := NewRing(3)
-	for i := 0; i < 5; i++ {
-		r.Push(item(i))
-	}
-	if r.Len() != 3 {
-		t.Fatalf("len = %d", r.Len())
-	}
-	labels := map[int]bool{}
-	for _, it := range r.Items() {
-		labels[it.Label] = true
-	}
-	for _, want := range []int{2, 3, 4} {
-		if !labels[want] {
-			t.Fatalf("ring lost item %d; has %v", want, labels)
-		}
-	}
-}
-
 func TestClassBalancedStaysWithinCap(t *testing.T) {
 	b := NewClassBalanced(10, rand.New(rand.NewSource(3)))
 	for i := 0; i < 200; i++ {
@@ -292,7 +273,6 @@ func TestClassBalancedSample(t *testing.T) {
 func TestConstructorsPanicOnBadCapacity(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewReservoir(0, rand.New(rand.NewSource(1))) },
-		func() { NewRing(-1) },
 		func() { NewClassBalanced(0, rand.New(rand.NewSource(1))) },
 	} {
 		func() {
@@ -307,7 +287,7 @@ func TestConstructorsPanicOnBadCapacity(t *testing.T) {
 }
 
 // TestItemsReturnCopies is the regression test for the slice-aliasing fix:
-// Reservoir.Items and Ring.Items used to return the live backing slice, so a
+// Reservoir.Items used to return the live backing slice, so a
 // caller writing through the result rewrote store contents behind the RNG's
 // back. Mutating what Items hands out must leave the buffers untouched.
 func TestItemsReturnCopies(t *testing.T) {
@@ -323,21 +303,6 @@ func TestItemsReturnCopies(t *testing.T) {
 	for i, it := range res.Items() {
 		if it.Label != want[i].Label {
 			t.Fatalf("reservoir item %d mutated through Items(): label %d, want %d", i, it.Label, want[i].Label)
-		}
-	}
-
-	ring := NewRing(4)
-	for i := 0; i < 10; i++ {
-		ring.Push(item(i))
-	}
-	wantRing := ring.Items()
-	gotRing := ring.Items()
-	for i := range gotRing {
-		gotRing[i].Label = -1
-	}
-	for i, it := range ring.Items() {
-		if it.Label != wantRing[i].Label {
-			t.Fatalf("ring item %d mutated through Items(): label %d, want %d", i, it.Label, wantRing[i].Label)
 		}
 	}
 

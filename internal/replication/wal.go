@@ -525,22 +525,6 @@ func (r *byteReader) u64() uint64 {
 
 func (r *byteReader) bytes(n int) []byte { return r.take(n) }
 
-// readSegmentHeader validates a segment's fixed prefix and returns its first
-// sequence number.
-func readSegmentHeader(f *os.File, path string) (uint64, error) {
-	hdr := make([]byte, segHeaderLen)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		return 0, fmt.Errorf("%w: %s: short header", ErrCorrupt, path)
-	}
-	if string(hdr[:len(segMagic)]) != segMagic {
-		return 0, fmt.Errorf("%w: %s: bad magic", ErrCorrupt, path)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[len(segMagic):]); v != segVersion {
-		return 0, fmt.Errorf("replication: %s: format version %d, want %d", path, v, segVersion)
-	}
-	return binary.LittleEndian.Uint64(hdr[len(segMagic)+4:]), nil
-}
-
 // recoverSegment scans a segment, validating every frame. It returns the
 // byte offset after the last good frame and the sequence number after the
 // last good record (0 if the segment holds none). A bad frame at the very

@@ -56,10 +56,3 @@ func HeStd(fanIn int) float64 {
 func HeNormal(rng *rand.Rand, fanIn int, shape ...int) *Tensor {
 	return RandNormal(rng, HeStd(fanIn), shape...)
 }
-
-// XavierUniform initialises a tensor with the Glorot uniform scheme,
-// limit = sqrt(6/(fanIn+fanOut)).
-func XavierUniform(rng *rand.Rand, fanIn, fanOut int, shape ...int) *Tensor {
-	lim := math.Sqrt(6 / float64(fanIn+fanOut))
-	return RandUniform(rng, -lim, lim, shape...)
-}

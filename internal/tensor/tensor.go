@@ -243,13 +243,3 @@ func Widen(t *Tensor) *Tensor64 {
 	}
 	return out
 }
-
-// Narrow returns a fast-tier (float32) copy of a reference-tier tensor. Each
-// element is rounded to nearest-even float32.
-func Narrow(t *Tensor64) *Tensor {
-	out := &Tensor{shape: append([]int(nil), t.shape...), data: make([]float32, len(t.data))}
-	for i, v := range t.data {
-		out.data[i] = float32(v)
-	}
-	return out
-}

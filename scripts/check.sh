@@ -6,7 +6,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 echo '>> gofmt'
-unformatted=$(gofmt -l cmd internal)
+unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
 	echo "gofmt needed on:" >&2
 	echo "$unformatted" >&2
@@ -59,8 +59,8 @@ go test -run 'Test.*64|TestGobDtype|TestFusedStepBitIdentity|TestLossRowKernels|
 # in every store (core + baselines), bit-exact dtype-tagged checkpoints with
 # cross-dtype restore rejection, the int8 wire encoding on both server
 # surfaces, and the 0 allocs/op pin on the quantized train step.
-echo '>> go test -run "TestQuantized|TestAllocsQuantized|TestInt8|TestDequantize" -count=1 ./internal/quant/ ./internal/replay/ ./internal/core/ ./internal/baselines/ ./internal/serve/ ./internal/exp/ (quantized-replay gate)'
-go test -run 'TestQuantized|TestAllocsQuantized|TestInt8|TestDequantize' -count=1 -short \
+echo '>> go test -run "TestQuantized|TestAllocsQuantized|TestInt8|TestDequantize|TestQuantizeInt8" -count=1 ./internal/quant/ ./internal/replay/ ./internal/core/ ./internal/baselines/ ./internal/serve/ ./internal/exp/ (quantized-replay gate)'
+go test -run 'TestQuantized|TestAllocsQuantized|TestInt8|TestDequantize|TestQuantizeInt8' -count=1 -short \
 	./internal/quant/ ./internal/replay/ ./internal/core/ ./internal/baselines/ ./internal/serve/ ./internal/exp/
 # Serving smoke gate: the real chameleon-serve binary (synthetic backbone,
 # int8 replay stores) answers the load generator end to end — one fp32-wire
